@@ -354,10 +354,13 @@ OVERLOAD_DELAY = 0.01
 #: The overload scenario's settings grid: the unbounded baseline
 #: (backlog and latency grow without bound), fail-fast rejection with a
 #: one-batch queue, and deadline-based shedding with a deeper queue.
+#: The shed deadline must stay below the time a full queue takes to
+#: drain (two to three 8-matrix 32x32 batch solves), or no queued item
+#: ever lapses and the policy degenerates into plain rejection.
 OVERLOAD_SETTINGS: Tuple[AdmissionSetting, ...] = (
     AdmissionSetting("unbounded", 0, "reject"),
     AdmissionSetting("reject q=8", 8, "reject"),
-    AdmissionSetting("shed q=24 dl=60ms", 24, "shed", 0.06),
+    AdmissionSetting("shed q=24 dl=40ms", 24, "shed", 0.04),
 )
 
 

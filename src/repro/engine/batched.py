@@ -14,14 +14,16 @@ Two backends implement the batch:
 
 * ``_SplitBackend`` (balanced block distributions — every paper
   configuration) stores the stationary and moving column blocks of all
-  nodes as two contiguous ``(B, V, b, m)`` planes *in transposed layout*
-  (each matrix column is a contiguous row).  A cross-block pairing round
-  is then a cyclic shift of the moving plane against the stationary one
-  — no gather/scatter indexing at all — and a block transition is a pair
-  of slice swaps.  All updates run through preallocated buffers with
-  in-place ufuncs.  This is what delivers the engine's speedup: the
-  sequential path spends most of its time in fancy-indexed column
-  gathers and scatters.
+  nodes as two contiguous ``(B, V, b, W)`` planes *in transposed layout*:
+  each row is one column of the iterate followed by the matching column
+  of ``U`` (``W = 2m``; ``W = m`` without eigenvectors), so one set of
+  in-place ufunc calls through preallocated buffers rotates both.  The
+  moving plane is kept rolled by the round index, which makes a
+  cross-block pairing round a row-for-row rotation of the two planes
+  followed by one roll-by-one copy — no gather/scatter indexing at all —
+  and a block transition a pair of slice swaps.  This is what delivers
+  the engine's speedup: the sequential path spends most of its time in
+  fancy-indexed column gathers and scatters.
 * ``_IndexedBackend`` (uneven blocks) drives the same index rounds as
   the sequential solver through the batched
   :func:`~repro.jacobi.rotations.rotate_pairs`.
@@ -32,10 +34,7 @@ rest of the batch continues.  The engine realises this by *compacting*
 the batch between sweeps — a converged matrix's columns are extracted
 into the result and the planes shrink — so trailing sweeps don't pay
 for already-finished matrices, and the survivors' columns are left
-bit-for-bit untouched.  (For callers driving the kernels directly,
-:func:`~repro.jacobi.rotations.rotate_pairs` also offers a per-matrix
-``active=`` identity mask that freezes matrices *within* a batched
-call.)
+bit-for-bit untouched.
 
 Bit-identical by construction
 -----------------------------
@@ -45,14 +44,16 @@ is the *same arithmetic*:
 * the pairing rounds are the identical
   :func:`~repro.jacobi.blocks.cross_block_rounds` /
   :func:`~repro.jacobi.blocks.round_robin_rounds` coverage, only
-  realised as shifts instead of index gathers;
-* every dot-product reduction contracts contiguous column data in the
-  same order as the sequential kernel's gathered operands (NumPy's
-  einsum picks its inner kernel by operand stride, so the transposed
-  layout reproduces the sequential path's unit-stride reduction
-  bit for bit — the equivalence tests pin this);
+  realised as rolls instead of index gathers;
+* every dot-product reduction runs over the unit-stride ``[..., :m]``
+  view of the iterate's columns, in the same order as the sequential
+  kernel's gathered operands (NumPy's einsum picks its inner kernel by
+  operand stride, so the transposed layout reproduces the sequential
+  path's unit-stride reduction bit for bit — the equivalence tests pin
+  this);
 * the rotation updates are the same elementwise expressions
-  (``c*x - s*y`` / ``s*x + c*y``), evaluated in-place;
+  (``c*x - s*y`` / ``s*x + c*y``), evaluated in place on the ``A`` and
+  ``U`` halves at once, and the roll copies move bits unchanged;
 * convergence is judged per matrix by the very same
   :func:`~repro.jacobi.convergence.offdiag_measure` call on a C-ordered
   2-D slice.
@@ -70,7 +71,7 @@ sequential solver's (one trace per sweep count), not one per matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -223,24 +224,32 @@ class _IndexedBackend:
 
 
 class _SplitBackend:
-    """Fast batch backend for balanced distributions: split planes.
+    """Fast batch backend for balanced distributions: one plane per slot.
 
     Stores the machine's stationary and moving blocks as two contiguous
-    planes of shape ``(B, V, b, m)`` — ``plane[:, v, i]`` is column ``i``
-    of the block resident at node ``v`` in that slot, stored as a
-    contiguous row (transposed layout).  With every block the same size:
+    planes of shape ``(B, V, b, W)``.  Row ``plane[:, v, i]`` is column
+    ``i`` of the block resident at node ``v`` in that slot, stored as a
+    contiguous row (transposed layout) and followed by the matching
+    column of the accumulated transformation: ``[A column | U column]``,
+    so ``W = 2m`` (``W = m`` without eigenvectors) and one set of ufunc
+    calls rotates A and U together.  With every block the same size:
 
     * a cross-block pairing round ``t`` pairs stationary column ``i``
-      with moving column ``(i + t) % b`` — a cyclic shift of the moving
-      plane, no index gathers;
+      with moving column ``(i + t) % b``.  The moving plane is stored
+      *rolled by the round index*, so round ``t`` rotates row ``i``
+      against row ``i`` and ends with one roll-by-one copy; after the
+      ``b`` rounds of a pairing step it is back in block order;
     * a transition moves whole half-planes between subcubes — two slice
       swaps;
     * the intra-block round-robin rounds gather contiguous rows.
 
-    The transposed layout keeps each dot-product reduction contracting a
-    unit-stride axis, which makes NumPy's einsum use the same inner
-    kernel (same summation order) as the sequential solver's gathered
-    column pairs — the root of the engine's bit-for-bit equivalence.
+    A round copies its cosines and sines once into plane-shaped buffers
+    shared by the A and U halves, so every update ufunc runs over
+    contiguous operands.  The dot products reduce over the ``[..., :m]``
+    view, whose unit-stride last axis makes NumPy's einsum use the same
+    inner kernel (same summation order) as the sequential solver's
+    gathered column pairs — the root of the engine's bit-for-bit
+    equivalence.
     """
 
     def __init__(self, A0: np.ndarray, d: int,
@@ -252,56 +261,36 @@ class _SplitBackend:
         self.num, self.m = num, m
         self.V = 1 << d
         self.b = m // self.dist.num_blocks
-        self.stat, self.mov = self._split(A0)
+        self.W = 2 * m if compute_eigenvectors else m
+        XT = np.empty((num, m, self.W))
+        XT[:, :, :m] = np.transpose(A0, (0, 2, 1))
         if compute_eigenvectors:
-            eye = np.broadcast_to(np.eye(m), (num, m, m))
-            self.ustat, self.umov = self._split(eye)
-        else:
-            self.ustat = self.umov = None
+            XT[:, :, m:] = np.eye(m)
+        view = XT.reshape(num, self.V, 2, self.b, self.W)
+        self.stat = np.ascontiguousarray(view[:, :, 0])
+        self.mov = np.ascontiguousarray(view[:, :, 1])
         self.layout = default_layout(d)
         self._alloc_buffers()
 
-    def _split(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Canonical ``(B, m, m)`` -> (stationary, moving) planes."""
-        num, m, V, b = X.shape[0], self.m, self.V, self.b
-        XT = np.ascontiguousarray(np.transpose(X, (0, 2, 1)))
-        view = XT.reshape(num, V, 2, b, m)
-        return (np.ascontiguousarray(view[:, :, 0]),
-                np.ascontiguousarray(view[:, :, 1]))
-
     def _alloc_buffers(self) -> None:
-        shape = (self.num, self.V, self.b, self.m)
-        self._t1 = np.empty(shape)
-        self._t2 = np.empty(shape)
-        self._rr = np.empty(shape)
-        self._urr = np.empty(shape) if self.ustat is not None else None
-
-    @staticmethod
-    def _roll_in(src: np.ndarray, t: int, out: np.ndarray) -> None:
-        """``out[..., i, :] = src[..., (i + t) % b, :]``."""
-        out[:, :, :src.shape[2] - t] = src[:, :, t:]
-        out[:, :, src.shape[2] - t:] = src[:, :, :t]
-
-    @staticmethod
-    def _roll_back(src: np.ndarray, t: int, out: np.ndarray) -> None:
-        """``out[..., (i + t) % b, :] = src[..., i, :]``."""
-        out[:, :, t:] = src[:, :, :src.shape[2] - t]
-        out[:, :, :t] = src[:, :, src.shape[2] - t:]
+        shape = self.stat.shape
+        self._t1, self._t2, self._c, self._s = (
+            np.empty(shape) for _ in range(4))
 
     # ------------------------------------------------------------------
-    def _rotate_chunk_rows(self, plane: np.ndarray,
-                           uplane: Optional[np.ndarray],
-                           li: np.ndarray, ri: np.ndarray,
-                           stats: RotationStats) -> None:
+    def _rotate_chunk_rows(self, plane: np.ndarray, li: np.ndarray,
+                           ri: np.ndarray, stats: RotationStats) -> None:
         """Rotate row pairs ``(li[k], ri[k])`` within every chunk of one
         plane (the intra-block pairing rounds)."""
         if li.size == 0:
             return
+        m = self.m
         Ai = plane[:, :, li, :]
         Aj = plane[:, :, ri, :]
-        a = np.einsum("bvkm,bvkm->bvk", Ai, Ai)
-        b_ = np.einsum("bvkm,bvkm->bvk", Aj, Aj)
-        g = np.einsum("bvkm,bvkm->bvk", Ai, Aj)
+        x, y = Ai[..., :m], Aj[..., :m]
+        a = np.einsum("bvkm,bvkm->bvk", x, x)
+        b_ = np.einsum("bvkm,bvkm->bvk", y, y)
+        g = np.einsum("bvkm,bvkm->bvk", x, y)
         c, s, applied = rotation_angles(a, b_, g, DEFAULT_PAIR_TOL)
         stats.merge(RotationStats(
             pairs_seen=int(li.size) * self.V * self.num,
@@ -312,136 +301,113 @@ class _SplitBackend:
         sb = s[..., None]
         plane[:, :, li, :] = cb * Ai - sb * Aj
         plane[:, :, ri, :] = sb * Ai + cb * Aj
-        if uplane is not None:
-            Ui = uplane[:, :, li, :]
-            Uj = uplane[:, :, ri, :]
-            uplane[:, :, li, :] = cb * Ui - sb * Uj
-            uplane[:, :, ri, :] = sb * Ui + cb * Uj
 
-    def _cross_round(self, t: int, stats: RotationStats) -> None:
-        """Round ``t`` of a pairing step: stationary column ``i`` against
-        moving column ``(i + t) % b`` at every node (the balanced
-        :func:`~repro.jacobi.blocks.cross_block_rounds` coverage)."""
-        L, R = self.stat, self.mov
-        if t:
-            Rr = self._rr
-            self._roll_in(R, t, Rr)
-        else:
-            Rr = R
-        a = np.einsum("bvcm,bvcm->bvc", L, L)
-        b_ = np.einsum("bvcm,bvcm->bvc", Rr, Rr)
-        g = np.einsum("bvcm,bvcm->bvc", L, Rr)
+    def _cross_round(self, stats: RotationStats) -> None:
+        """One round of a pairing step: stationary row ``i`` against
+        moving row ``i`` at every node, which in round ``t`` holds moving
+        column ``(i + t) % b`` (the balanced
+        :func:`~repro.jacobi.blocks.cross_block_rounds` coverage).
+
+        In-place ``L' = c L - s R`` and ``R' = s L + c R`` — the same
+        elementwise expressions as
+        :func:`~repro.jacobi.rotations.rotate_pairs` — then ``R'`` is
+        stored rolled by one row for the next round.
+        """
+        L, R, m = self.stat, self.mov, self.m
+        x, y = L[..., :m], R[..., :m]
+        a = np.einsum("bvcm,bvcm->bvc", x, x)
+        b_ = np.einsum("bvcm,bvcm->bvc", y, y)
+        g = np.einsum("bvcm,bvcm->bvc", x, y)
         c, s, applied = rotation_angles(a, b_, g, DEFAULT_PAIR_TOL)
         stats.merge(RotationStats(
             pairs_seen=self.V * self.b * self.num,
             rotations_applied=int(applied.sum())))
         if not applied.any():
+            # Nothing rotates, but the moving plane still advances.
+            self.mov = np.roll(R, -1, axis=2)
             return
-        cb = c[..., None]
-        sb = s[..., None]
-        self._rotate_planes(L, R, Rr, cb, sb, t, self._rr)
-        if self.ustat is not None:
-            UL, UR = self.ustat, self.umov
-            if t:
-                URr = self._urr
-                self._roll_in(UR, t, URr)
-            else:
-                URr = UR
-            self._rotate_planes(UL, UR, URr, cb, sb, t, self._urr)
-
-    def _rotate_planes(self, L: np.ndarray, R: np.ndarray, Rr: np.ndarray,
-                       cb: np.ndarray, sb: np.ndarray, t: int,
-                       rbuf: np.ndarray) -> None:
-        """In-place ``L' = c L - s Rr`` and (rolled back into ``R``)
-        ``Rr' = s L + c Rr`` — the same elementwise expressions as
-        :func:`~repro.jacobi.rotations.rotate_pairs`, through buffers."""
-        T1, T2 = self._t1, self._t2
-        np.multiply(sb, L, out=T1)       # s * L      (old L)
-        np.multiply(L, cb, out=L)        # c * L
-        np.multiply(cb, Rr, out=T2)      # c * Rr
-        np.multiply(sb, Rr, out=rbuf)    # s * Rr  (in place when t > 0)
-        np.subtract(L, rbuf, out=L)      # L' = c L - s Rr
-        np.add(T1, T2, out=T1)           # Rr' = s L + c Rr
-        if t:
-            self._roll_back(T1, t, R)
-        else:
-            R[...] = T1
+        T1, T2, C, S = self._t1, self._t2, self._c, self._s
+        np.copyto(C, c[..., None])
+        np.copyto(S, s[..., None])
+        np.multiply(S, L, out=T1)        # s * L      (old L)
+        np.multiply(L, C, out=L)         # c * L
+        np.multiply(C, R, out=T2)        # c * R
+        np.multiply(S, R, out=R)         # s * R
+        np.subtract(L, R, out=L)         # L' = c L - s R
+        np.add(T1, T2, out=T1)           # R' = s L + c R
+        # R' rolled by one row: row i meets moving column (i + t + 1) % b.
+        R[:, :, :-1] = T1[:, :, 1:]
+        R[:, :, -1] = T1[:, :, 0]
 
     def _transition(self, link: int, kind: TransitionKind) -> None:
         """Physically move half-planes so that the (stationary, moving)
         plane invariant survives the transition; the logical block ids
         follow via :func:`~repro.orderings.validate.apply_transition`."""
         self.layout = apply_transition(self.layout, link, kind)
-        num, V, b, m = self.num, self.V, self.b, self.m
+        num, V, b, W = self.stat.shape
         low = 1 << link
-        groups = V >> (link + 1)
-        shape = (num, groups, 2, low, b, m)
-        planes = [(self.stat, self.mov)]
-        if self.ustat is not None:
-            planes.append((self.ustat, self.umov))
-        for stat, mov in planes:
-            Sg = stat.reshape(shape)
-            Mg = mov.reshape(shape)
-            if kind in (TransitionKind.EXCHANGE, TransitionKind.LAST):
-                tmp = Mg[:, :, 0].copy()
-                Mg[:, :, 0] = Mg[:, :, 1]
-                Mg[:, :, 1] = tmp
-            elif kind is TransitionKind.DIVISION:
-                # lower nodes' moving slot <- upper partners' stationary
-                # block; upper nodes' stationary slot <- lower partners'
-                # moving block (the recursive split).
-                tmp = Mg[:, :, 0].copy()
-                Mg[:, :, 0] = Sg[:, :, 1]
-                Sg[:, :, 1] = tmp
-            else:  # pragma: no cover - exhaustive enum
-                raise SimulationError(f"unknown transition kind {kind!r}")
+        shape = (num, V >> (link + 1), 2, low, b, W)
+        Sg = self.stat.reshape(shape)
+        Mg = self.mov.reshape(shape)
+        if kind in (TransitionKind.EXCHANGE, TransitionKind.LAST):
+            tmp = Mg[:, :, 0].copy()
+            Mg[:, :, 0] = Mg[:, :, 1]
+            Mg[:, :, 1] = tmp
+        elif kind is TransitionKind.DIVISION:
+            # lower nodes' moving slot <- upper partners' stationary
+            # block; upper nodes' stationary slot <- lower partners'
+            # moving block (the recursive split).
+            tmp = Mg[:, :, 0].copy()
+            Mg[:, :, 0] = Sg[:, :, 1]
+            Sg[:, :, 1] = tmp
+        else:  # pragma: no cover - exhaustive enum
+            raise SimulationError(f"unknown transition kind {kind!r}")
 
     # ------------------------------------------------------------------
     def run_sweep(self, schedule: SweepSchedule,
                   stats: RotationStats) -> None:
         for li, ri in round_robin_rounds(self.b):
-            self._rotate_chunk_rows(self.stat, self.ustat, li, ri, stats)
-            self._rotate_chunk_rows(self.mov, self.umov, li, ri, stats)
+            self._rotate_chunk_rows(self.stat, li, ri, stats)
+            self._rotate_chunk_rows(self.mov, li, ri, stats)
         if schedule.d == 0:
-            for t in range(self.b):
-                self._cross_round(t, stats)
+            for _ in range(self.b):
+                self._cross_round(stats)
             return
         for tr in schedule:
-            for t in range(self.b):
-                self._cross_round(t, stats)
+            for _ in range(self.b):
+                self._cross_round(stats)
             self._transition(tr.link, tr.kind)
 
-    def _gather_canonical(self, stat: np.ndarray, mov: np.ndarray
-                          ) -> np.ndarray:
-        num, V, b, m = stat.shape[0], self.V, self.b, self.m
+    def _gather_canonical(self, stat: np.ndarray, mov: np.ndarray,
+                          cols: slice) -> np.ndarray:
+        num, b, m = stat.shape[0], self.b, self.m
         XT = np.empty((num, m, m))
-        for v in range(V):
+        for v in range(self.V):
             for slot, plane in ((0, stat), (1, mov)):
                 blk = int(self.layout[v, slot])
-                XT[:, blk * b:(blk + 1) * b, :] = plane[:, v]
+                XT[:, blk * b:(blk + 1) * b, :] = plane[:, v, :, cols]
         return np.ascontiguousarray(np.transpose(XT, (0, 2, 1)))
 
     def canonical(self) -> np.ndarray:
         """The iterate in canonical column order, C-contiguous per slice."""
-        return self._gather_canonical(self.stat, self.mov)
+        return self._gather_canonical(self.stat, self.mov,
+                                      slice(None, self.m))
 
     def extract_u(self, positions: np.ndarray) -> Optional[np.ndarray]:
         """Canonical accumulated transformations of given batch positions."""
-        if self.ustat is None:
+        if self.W == self.m:
             return None
         # Gather only the requested matrices: extraction happens at every
         # sweep boundary where something converges, and usually for a
         # small fraction of the surviving batch.
-        return self._gather_canonical(self.ustat[positions],
-                                      self.umov[positions])
+        return self._gather_canonical(self.stat[positions],
+                                      self.mov[positions],
+                                      slice(self.m, None))
 
     def compact(self, keep: np.ndarray) -> None:
         """Shrink the batch to the matrices flagged in ``keep``."""
         self.stat = np.ascontiguousarray(self.stat[keep])
         self.mov = np.ascontiguousarray(self.mov[keep])
-        if self.ustat is not None:
-            self.ustat = np.ascontiguousarray(self.ustat[keep])
-            self.umov = np.ascontiguousarray(self.umov[keep])
         self.num = self.stat.shape[0]
         self._alloc_buffers()
 
@@ -498,13 +464,16 @@ def run_batched_sweeps(A0, make_backend, get_schedule, extract_transform,
     sweeps = np.zeros(num, dtype=np.int64)
     converged = np.ones(num, dtype=bool)
     off_history: List[List[float]] = [[] for _ in range(num)]
-    final_A = np.empty_like(A0)
-    final_T = np.empty((num, m, m)) if with_transform else None
+    # NaN-filled, so a slot the loop below never wrote is detectable.
+    final_A = np.full_like(A0, np.nan)
+    final_T = np.full((num, m, m), np.nan) if with_transform else None
     # Matrices already orthogonal at entry converge at sweep 0, like
-    # the sequential solvers' pre-loop check.
-    initial_off = np.array([offdiag_measure(A0[k]) for k in range(num)])
-    alive = np.flatnonzero(initial_off > tol)
-    for k in np.flatnonzero(initial_off <= tol):
+    # the sequential solvers' pre-loop check.  A non-finite defect is
+    # not converged: that matrix sweeps to the budget, as it does there.
+    at_entry = np.array([offdiag_measure(A0[k])
+                         for k in range(num)]) <= tol
+    alive = np.flatnonzero(~at_entry)
+    for k in np.flatnonzero(at_entry):
         final_A[k] = A0[k]
         if final_T is not None:
             final_T[k] = np.eye(m)
@@ -643,6 +612,10 @@ class BatchedOneSidedJacobi:
     def count_sweeps(self, matrices: Union[np.ndarray, Sequence[np.ndarray]]
                      ) -> np.ndarray:
         """Per-matrix sweeps to convergence of ``matrices`` (a ``(B, m,
-        m)`` stack or sequence; eigenvectors accumulated, as the real
-        algorithm would) — the batched Table-2 primitive."""
-        return self.solve(matrices).sweeps
+        m)`` stack or sequence) — the batched Table-2 primitive.
+
+        The rotation angles and the convergence check read the iterate
+        alone, so the sweep counts are those of :meth:`solve` with
+        eigenvectors; they are counted without accumulating any.
+        """
+        return self.solve(matrices, compute_eigenvectors=False).sweeps

@@ -15,8 +15,10 @@ configuration to one of two engines:
 * ``engine="sequential"`` — the historical loop of per-matrix
   :class:`~repro.jacobi.parallel.ParallelOneSidedJacobi` solves.
 
-The two are bit-identical in eigenvalues and sweep counts (asserted by
-the equivalence tests), so the engine choice is purely a performance
+Both engines count sweeps through their ``count_sweeps``, which solves
+without eigenvectors: the rotation angles and the convergence check read
+the iterate alone.  The two are bit-identical in sweep counts (asserted
+by the equivalence tests), so the engine choice is purely a performance
 knob; ``benchmarks/test_bench_engine.py`` tracks the speedup.
 
 Passing ``workers >= 1`` routes the run through the service layer
@@ -191,7 +193,7 @@ def run_ensemble(configs: Sequence[Tuple[int, int]],
             else:
                 seq = ParallelOneSidedJacobi(ordering, tol=tol,
                                              max_sweeps=max_sweeps)
-                sweeps[name] = np.array([seq.solve(A).sweeps
+                sweeps[name] = np.array([seq.count_sweeps(A)
                                          for A in matrices],
                                         dtype=np.int64)
         results.append(EnsembleConfigResult(m=m, P=P, sweeps=sweeps))

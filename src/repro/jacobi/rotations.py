@@ -115,8 +115,7 @@ class RotationStats:
 def rotate_pairs(A: np.ndarray, U: Optional[np.ndarray],
                  idx_i: np.ndarray, idx_j: np.ndarray,
                  pair_tol: float = DEFAULT_PAIR_TOL,
-                 check_disjoint: bool = False,
-                 active: Optional[np.ndarray] = None) -> RotationStats:
+                 check_disjoint: bool = False) -> RotationStats:
     """Apply one-sided rotations to a batch of **disjoint** column pairs.
 
     Updates ``A`` (and ``U``, when given) in place: columns ``idx_i[k]``
@@ -139,18 +138,15 @@ def rotate_pairs(A: np.ndarray, U: Optional[np.ndarray],
         Integer arrays of equal length: the column pairs.
     pair_tol:
         Orthogonality threshold forwarded to :func:`rotation_angles`.
-    active:
-        Batched mode only: boolean mask of shape ``(B,)``; matrices with
-        ``active[b] == False`` receive identity rotations (their columns
-        are left bit-for-bit unchanged) and contribute nothing to the
-        stats.  This is how the batched solver freezes matrices that have
-        already converged while the rest of the batch keeps sweeping.
+    check_disjoint:
+        Raise :class:`~repro.errors.SimulationError` if a column appears
+        in more than one pair.
 
     Returns
     -------
     RotationStats
         Pairs seen and rotations actually applied (in batched mode,
-        summed over the active matrices).
+        summed over the batch).
     """
     idx_i = np.asarray(idx_i, dtype=np.intp)
     idx_j = np.asarray(idx_j, dtype=np.intp)
@@ -164,10 +160,7 @@ def rotate_pairs(A: np.ndarray, U: Optional[np.ndarray],
             raise SimulationError(
                 "rotate_pairs requires disjoint column pairs")
     if A.ndim == 3:
-        return _rotate_pairs_batch(A, U, idx_i, idx_j, pair_tol, active)
-    if active is not None:
-        raise SimulationError(
-            "the 'active' mask requires a batched (B, m, n) iterate")
+        return _rotate_pairs_batch(A, U, idx_i, idx_j, pair_tol)
     Ai = A[:, idx_i]
     Aj = A[:, idx_j]
     a = np.einsum("ij,ij->j", Ai, Ai)
@@ -189,40 +182,23 @@ def rotate_pairs(A: np.ndarray, U: Optional[np.ndarray],
 
 def _rotate_pairs_batch(A: np.ndarray, U: Optional[np.ndarray],
                         idx_i: np.ndarray, idx_j: np.ndarray,
-                        pair_tol: float,
-                        active: Optional[np.ndarray]) -> RotationStats:
+                        pair_tol: float) -> RotationStats:
     """Batched body of :func:`rotate_pairs` for a ``(B, m, n)`` iterate.
 
     The per-pair reductions contract over the row axis with the same
     strides as the 2-D path, and the column updates are the same
     elementwise expressions, so every matrix of the batch evolves
-    bit-for-bit as it would solved alone.  Inactive matrices get the
-    identity (``c = 1``, ``s = 0``), which NumPy's elementwise arithmetic
-    leaves bit-for-bit unchanged (``1.0 * x - 0.0 * y == x``).
+    bit-for-bit as it would solved alone.
     """
-    num = A.shape[0]
-    if active is not None:
-        active = np.asarray(active, dtype=bool)
-        if active.shape != (num,):
-            raise SimulationError(
-                f"active mask must have shape ({num},), got {active.shape}")
-        if not active.any():
-            return RotationStats(pairs_seen=0, rotations_applied=0)
+    pairs_seen = idx_i.size * A.shape[0]
     Ai = A[:, :, idx_i]
     Aj = A[:, :, idx_j]
     a = np.einsum("bij,bij->bj", Ai, Ai)
     b = np.einsum("bij,bij->bj", Aj, Aj)
     g = np.einsum("bij,bij->bj", Ai, Aj)
     c, s, applied = rotation_angles(a, b, g, pair_tol)
-    if active is not None:
-        inactive = ~active
-        c[inactive] = 1.0
-        s[inactive] = 0.0
-        applied[inactive] = False
-    num_active = num if active is None else int(active.sum())
     if not applied.any():
-        return RotationStats(pairs_seen=idx_i.size * num_active,
-                             rotations_applied=0)
+        return RotationStats(pairs_seen=pairs_seen, rotations_applied=0)
     cb = c[:, None, :]
     sb = s[:, None, :]
     A[:, :, idx_i] = cb * Ai - sb * Aj
@@ -232,5 +208,5 @@ def _rotate_pairs_batch(A: np.ndarray, U: Optional[np.ndarray],
         Uj = U[:, :, idx_j]
         U[:, :, idx_i] = cb * Ui - sb * Uj
         U[:, :, idx_j] = sb * Ui + cb * Uj
-    return RotationStats(pairs_seen=idx_i.size * num_active,
+    return RotationStats(pairs_seen=pairs_seen,
                          rotations_applied=int(applied.sum()))

@@ -31,9 +31,10 @@ Behind the facade,
 
 A convergence miss is service data, not an exception: the future
 resolves to a result with ``converged=False``.  Invalid submissions
-(non-symmetric eigen input, wide SVD input, too small for the cube) are
-rejected synchronously at :meth:`~JacobiService.submit` so one bad
-matrix can never poison a micro-batch.
+(non-finite entries, non-symmetric eigen input, wide SVD input, too
+small for the cube) are rejected synchronously at
+:meth:`~JacobiService.submit` so one bad matrix can never poison a
+micro-batch.
 
 The service can also bound its own backlog: ``max_queue`` caps queued
 plus in-flight items, and the ``admission`` policy decides what happens
@@ -437,11 +438,21 @@ class JacobiService:
         self._next_request = 0
 
     # ------------------------------------------------------------------
-    def _validate(self, A: np.ndarray, d: int) -> np.ndarray:
+    @staticmethod
+    def _finite_copy(A: np.ndarray) -> np.ndarray:
         # Always copy: the matrix is held across an asynchronous boundary
         # (queued until a flush), so a caller reusing one buffer for
         # successive submits must not retroactively change queued work.
         A = np.array(A, dtype=np.float64, copy=True)
+        # NaN or inf never converges: it would hold its whole batch for
+        # the sweep budget before failing.
+        if not np.isfinite(A).all():
+            raise SimulationError("matrix has non-finite (NaN or inf) "
+                                  "entries")
+        return A
+
+    def _validate(self, A: np.ndarray, d: int) -> np.ndarray:
+        A = self._finite_copy(A)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise SimulationError(
                 f"service expects one square matrix per submit, got "
@@ -457,8 +468,7 @@ class JacobiService:
         return A
 
     def _validate_svd(self, A: np.ndarray) -> np.ndarray:
-        # Same copy-on-submit contract as the eigen path.
-        A = np.array(A, dtype=np.float64, copy=True)
+        A = self._finite_copy(A)
         if A.ndim != 2:
             raise SimulationError(
                 f"service expects one matrix per submit, got shape "
@@ -526,6 +536,9 @@ class JacobiService:
 
         Raises
         ------
+        SimulationError
+            The matrix is invalid for its kind: non-finite, not
+            symmetric (eigen), wide (SVD) or too small for the cube.
         QueueFull
             The service is at its ``max_queue`` bound and the
             admission policy rejected the submission (immediately

@@ -138,7 +138,7 @@ def solve_ensemble_shard(task: ShardTask,
         return solver.count_sweeps(matrices)
     seq = ParallelOneSidedJacobi(ordering, tol=task.tol,
                                  max_sweeps=task.max_sweeps)
-    return np.array([seq.solve(A).sweeps for A in matrices],
+    return np.array([seq.count_sweeps(A) for A in matrices],
                     dtype=np.int64)
 
 
@@ -384,6 +384,12 @@ class ShardedExecutor:
         """Release the worker processes (idempotent), blocking until
         running tasks finish unless ``wait`` is false."""
         if self._pool is not None:
+            if self.broken:
+                # A worker spawned while the pool was breaking can miss
+                # its stop signal and idle forever, and the pool's own
+                # teardown waits for every worker: stop them all first.
+                for proc in list((self._pool._processes or {}).values()):
+                    proc.kill()
             self._pool.shutdown(wait=wait)
             self._pool = None
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    ENSEMBLE_ORDERINGS,
     BatchedOneSidedJacobi,
     run_ensemble,
     stack_matrices,
@@ -26,18 +27,24 @@ from repro.orderings import get_ordering
 ALL_ORDERINGS = ("br", "permuted-br", "degree4", "min-alpha",
                  "rebalanced-br")
 
+#: ``(m, d)`` shapes of the Table-2 path beyond the grid: m=64 at block
+#: size b=16 (d=1) and b=2 (d=4), b=1 and an odd b=3.
+TABLE2_SHAPES = ((64, 1), (64, 4), (8, 2), (24, 2))
+
 
 def _batch(m: int, count: int, seed: int = 7):
     return [make_symmetric_test_matrix(m, rng=(seed, m, k))
             for k in range(count)]
 
 
-def _assert_bit_identical(mats, ordering, tol=1e-9, max_sweeps=60):
+def _assert_bit_identical(mats, ordering, tol=1e-9, max_sweeps=60,
+                          compute_eigenvectors=True):
     seq_solver = ParallelOneSidedJacobi(ordering, tol=tol,
                                         max_sweeps=max_sweeps)
-    seqs = [seq_solver.solve(A) for A in mats]
+    seqs = [seq_solver.solve(A, compute_eigenvectors) for A in mats]
     res = BatchedOneSidedJacobi(ordering, tol=tol,
-                                max_sweeps=max_sweeps).solve(mats)
+                                max_sweeps=max_sweeps).solve(
+        mats, compute_eigenvectors)
     for k, s in enumerate(seqs):
         assert np.array_equal(s.eigenvalues, res.eigenvalues[k]), \
             f"eigenvalues differ for batch item {k}"
@@ -55,13 +62,21 @@ def _assert_bit_identical(mats, ordering, tol=1e-9, max_sweeps=60):
 
 
 class TestBitIdentical:
-    """The ISSUE's equivalence grid: m in {8, 16, 32}, every ordering."""
+    """The equivalence grid: m in {8, 16, 24, 32} at d=2 (block sizes
+    1, 2, 3, 4), every ordering."""
 
-    @pytest.mark.parametrize("m", (8, 16, 32))
+    @pytest.mark.parametrize("m", (8, 16, 24, 32))
     @pytest.mark.parametrize("name", ALL_ORDERINGS)
     def test_grid(self, m, name):
         ordering = get_ordering(name, 2)
         _assert_bit_identical(_batch(m, 5), ordering)
+
+    @pytest.mark.parametrize("vectors", (True, False), ids=("U", "noU"))
+    @pytest.mark.parametrize("m,d", TABLE2_SHAPES)
+    @pytest.mark.parametrize("name", ENSEMBLE_ORDERINGS)
+    def test_table2_shapes(self, name, m, d, vectors):
+        _assert_bit_identical(_batch(m, 3), get_ordering(name, d),
+                              compute_eigenvectors=vectors)
 
     @pytest.mark.parametrize("name", ("br", "degree4"))
     def test_deeper_cube(self, name):
@@ -101,6 +116,24 @@ class TestMixedConvergence:
         seqs, res = _assert_bit_identical(mats, get_ordering("degree4", 2))
         assert res.sweeps[0] == 0
         assert res.converged[0]
+
+    def test_cross_round_with_nothing_to_rotate(self):
+        # Node v holds column blocks 2v and 2v+1 (b=2) of a block-diagonal
+        # matrix whose 4x4 blocks make pairs (0,2) and (1,3) orthogonal
+        # and (0,3), (1,2) not: the first cross round rotates no pair in
+        # the whole batch, the second does.  The skipped round must still
+        # advance the moving plane's roll.
+        rng = np.random.default_rng(9)
+        mats = []
+        for _ in range(3):
+            A = np.zeros((16, 16))
+            for v in range(4):
+                p, q, r, s, t, u = rng.uniform(1.0, 2.0, size=6)
+                A[4 * v:4 * v + 4, 4 * v:4 * v + 4] = [
+                    [p, 0, 0, q], [0, r, u, 0], [0, u, s, 0], [q, 0, 0, t]]
+            mats.append(A)
+        _, res = _assert_bit_identical(mats, get_ordering("br", 2))
+        assert res.stats.rotations_applied > 0
 
     def test_no_eigenvectors(self):
         mats = _batch(16, 4)
@@ -146,6 +179,62 @@ class TestEngineValidation:
             get_ordering("degree4", 2)).count_sweeps(mats)
         assert got.tolist() == expected
 
+    @pytest.mark.parametrize("m,d", TABLE2_SHAPES)
+    def test_count_sweeps_equals_solve_sweeps(self, m, d):
+        # Counting runs without eigenvectors; the counts must be those of
+        # a full solve with them.
+        mats = _batch(m, 3)
+        ordering = get_ordering("degree4", d)
+        seq = ParallelOneSidedJacobi(ordering)
+        assert ([seq.count_sweeps(A) for A in mats]
+                == [seq.solve(A).sweeps for A in mats])
+        engine = BatchedOneSidedJacobi(ordering)
+        assert np.array_equal(engine.count_sweeps(mats),
+                              engine.solve(mats).sweeps)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFinite:
+    """A non-finite member is never reported converged: the batch gives
+    it the sequential solver's outcome (same exception type, or the same
+    sweeps with ``converged=False``) and leaves its neighbours'
+    answers bit-identical."""
+
+    @staticmethod
+    def _poison(A, where):
+        A = A.copy()
+        if where == "inf":
+            A[0, 0] = np.inf
+        else:
+            A[0, 1] = A[1, 0] = np.nan
+        return A
+
+    @pytest.mark.parametrize("where", ("inf", "nan"))
+    def test_same_exception_type_as_sequential(self, where):
+        mats = _batch(16, 3)
+        mats[1] = self._poison(mats[1], where)
+        ordering = get_ordering("degree4", 2)
+        with pytest.raises(Exception) as seq_err:
+            ParallelOneSidedJacobi(ordering).solve(mats[1])
+        with pytest.raises(type(seq_err.value)):
+            BatchedOneSidedJacobi(ordering).solve(mats)
+
+    def test_inf_member_sweeps_to_the_budget(self):
+        mats = _batch(16, 3)
+        mats[1] = self._poison(mats[1], "inf")
+        ordering = get_ordering("degree4", 2)
+        seq = ParallelOneSidedJacobi(ordering, max_sweeps=20)
+        res = BatchedOneSidedJacobi(ordering, max_sweeps=20).solve(
+            mats, raise_on_no_convergence=False)
+        ref = seq.solve(mats[1], raise_on_no_convergence=False)
+        assert not ref.converged and not res.converged[1]
+        assert res.sweeps[1] == ref.sweeps == 20
+        for k in (0, 2):
+            s = seq.solve(mats[k])
+            assert res.converged[k] and res.sweeps[k] == s.sweeps
+            assert np.array_equal(res.eigenvalues[k], s.eigenvalues)
+            assert np.array_equal(res.eigenvectors[k], s.eigenvectors)
+
 
 class TestBatchedRotatePairs:
     """The batched (B, m, n) path of the rotation kernel itself."""
@@ -168,27 +257,6 @@ class TestBatchedRotatePairs:
             assert np.array_equal(Uk, U2[k])
         assert stats_b.pairs_seen == seen
         assert stats_b.rotations_applied == applied
-
-    def test_active_mask_freezes_matrices(self):
-        rng = np.random.default_rng(4)
-        A = rng.standard_normal((3, 8, 8))
-        ii, jj = np.array([0, 2]), np.array([1, 3])
-        active = np.array([True, False, True])
-        A2 = A.copy()
-        stats = rotate_pairs(A2, None, ii, jj, active=active)
-        assert np.array_equal(A2[1], A[1])          # frozen bit-for-bit
-        assert not np.array_equal(A2[0], A[0])
-        assert not np.array_equal(A2[2], A[2])
-        assert stats.pairs_seen == 2 * 2            # active matrices only
-        ref = A[0].copy()
-        rotate_pairs(ref, None, ii, jj)
-        assert np.array_equal(ref, A2[0])           # active ones unchanged
-
-    def test_active_mask_requires_batch(self):
-        A = np.eye(8)
-        with pytest.raises(SimulationError):
-            rotate_pairs(A, None, np.array([0]), np.array([1]),
-                         active=np.array([True]))
 
 
 class TestRunEnsemble:

@@ -225,6 +225,16 @@ class TestValidation:
             with pytest.raises(SimulationError):
                 svc.submit(np.eye(4))  # needs m >= 8 on a 2-cube
 
+    @pytest.mark.parametrize("kind", ("eigen", "svd"))
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_rejects_non_finite(self, kind, bad):
+        A = _mats(8, 1)[0]
+        A[0, 0] = bad
+        with JacobiService(d=1) as svc:
+            with pytest.raises(SimulationError, match="non-finite"):
+                svc.submit(A, kind=kind)
+            assert svc.stats().submitted == 0
+
     def test_rejects_unknown_ordering_eagerly(self):
         with pytest.raises(Exception):
             JacobiService(d=1, ordering="no-such-family")

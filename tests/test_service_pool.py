@@ -152,6 +152,42 @@ class TestShardedExecutorInline:
             ShardedExecutor(-1)
 
 
+class TestBrokenPoolShutdown:
+    """A worker the pool spawned while it was breaking never receives
+    its stop signal, and the pool's teardown joins every worker: without
+    stopping them first, shutdown (and so ``JacobiService.close``) hangs
+    forever."""
+
+    class _Worker:
+        def __init__(self) -> None:
+            self.killed = False
+
+        def kill(self) -> None:
+            self.killed = True
+
+    class _Pool:
+        def __init__(self, broken) -> None:
+            self._broken = broken
+            self._processes = {1: TestBrokenPoolShutdown._Worker(),
+                               2: TestBrokenPoolShutdown._Worker()}
+
+        def shutdown(self, wait: bool = True) -> None:
+            pass
+
+    def _shutdown(self, broken):
+        ex = ShardedExecutor(2)
+        ex._pool = self._Pool(broken)
+        workers = list(ex._pool._processes.values())
+        ex.shutdown()
+        return [w.killed for w in workers]
+
+    def test_broken_pool_workers_are_stopped_before_the_join(self):
+        assert self._shutdown("a worker died") == [True, True]
+
+    def test_healthy_pool_workers_finish_their_tasks(self):
+        assert self._shutdown(False) == [False, False]
+
+
 class TestWarmup:
     def test_warm_worker_fills_schedule_cache(self):
         GLOBAL_SCHEDULE_CACHE.clear()

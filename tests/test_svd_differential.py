@@ -177,6 +177,26 @@ class TestBatchedBitIdentity:
         for k, s in enumerate(seqs):
             assert np.array_equal(s.S, res.S[k])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_member_is_not_converged(self):
+        rng = np.random.default_rng(35)
+        mats = [rng.normal(size=(16, 12)) for _ in range(3)]
+        mats[1][2, 3] = np.nan
+        engine = BatchedOneSidedSVD(tol=TOL, max_sweeps=20)
+        with pytest.raises(ConvergenceError):
+            onesided_svd(mats[1], tol=TOL, max_sweeps=20)
+        with pytest.raises(ConvergenceError):
+            engine.solve(mats)
+        res = engine.solve(mats, raise_on_no_convergence=False)
+        ref = onesided_svd(mats[1], tol=TOL, max_sweeps=20,
+                           raise_on_no_convergence=False)
+        assert not ref.converged and not res.converged[1]
+        assert res.sweeps[1] == ref.sweeps == 20
+        for k in (0, 2):
+            s = onesided_svd(mats[k], tol=TOL, max_sweeps=20)
+            assert res.converged[k] and res.sweeps[k] == s.sweeps
+            assert np.array_equal(res.S[k], s.S)
+
     def test_count_sweeps_matches_sequential(self):
         rng = np.random.default_rng(34)
         mats = [rng.normal(size=(20, 12)) for _ in range(5)]
