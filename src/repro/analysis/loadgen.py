@@ -661,10 +661,7 @@ def _replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
             st = svc.stats()
             backlog.append(st.queue_depth + st.inflight)
             try:
-                fut = (svc.submit(A, deadline=a.deadline)
-                       if a.kind == "eigen"
-                       else svc.submit(A, kind="svd",
-                                       deadline=a.deadline))
+                fut = svc.submit(A, kind=a.kind, deadline=a.deadline)
             except QueueFull:
                 rejected += 1
                 _done()  # no future: the submission never existed

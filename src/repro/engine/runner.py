@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..errors import SimulationError
 from ..jacobi.convergence import DEFAULT_TOL
 from ..jacobi.onesided import make_symmetric_test_matrix
 from ..jacobi.parallel import ParallelOneSidedJacobi
@@ -103,6 +104,12 @@ class EnsembleConfigResult:
         return max(means) - min(means)
 
 
+def _check_num_matrices(num_matrices: int) -> None:
+    if num_matrices < 1:
+        raise SimulationError(
+            f"num_matrices must be >= 1, got {num_matrices}")
+
+
 def _check_config(m: int, P: int) -> int:
     d = int(P).bit_length() - 1
     if (1 << d) != P:
@@ -142,7 +149,9 @@ def run_ensemble(configs: Sequence[Tuple[int, int]],
     configs:
         ``(m, P)`` pairs; ``P`` must be a power of two.
     num_matrices:
-        Matrices per configuration (the paper used 30).
+        Matrices per configuration (the paper used 30); below 1 raises
+        :class:`~repro.errors.SimulationError` for every ``engine`` and
+        ``workers``.
     seed:
         Base RNG seed; every configuration uses an independent seeded
         stream, and *all orderings see the same matrices*.
@@ -169,6 +178,7 @@ def run_ensemble(configs: Sequence[Tuple[int, int]],
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
+    _check_num_matrices(num_matrices)
     if workers:
         # Imported lazily: repro.service sits above this module.
         from ..service.pool import run_ensemble_sharded
@@ -268,7 +278,9 @@ def run_svd_ensemble(shapes: Sequence[Tuple[int, int]],
     shapes:
         ``(n, m)`` shape grid, one seeded ensemble per entry.
     num_matrices:
-        Ensemble size per shape.
+        Ensemble size per shape; below 1 raises
+        :class:`~repro.errors.SimulationError` for every ``engine`` and
+        ``workers``.
     seed:
         Ensemble RNG seed (see :func:`generate_svd_ensemble`).
     tol, max_sweeps:
@@ -286,6 +298,7 @@ def run_svd_ensemble(shapes: Sequence[Tuple[int, int]],
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
+    _check_num_matrices(num_matrices)
     if workers:
         # Imported lazily: repro.service sits above this module.
         from ..service.pool import run_svd_ensemble_sharded

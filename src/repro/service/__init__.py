@@ -1,15 +1,23 @@
 """Sharded streaming solve service.
 
-The traffic-serving layer above :mod:`repro.engine` — three pieces, each
+The traffic-serving layer above :mod:`repro.engine`, in pieces each
 usable alone:
 
+* :mod:`repro.service.kinds` — the traffic classes, one table entry
+  each: how a submission is admitted and keyed, the solver fields its
+  flush adds, the batched-engine call, and the result arrays.  The
+  pieces below read the entry of a request's kind instead of
+  branching on it.
 * :mod:`repro.service.pool` — :class:`ShardedExecutor` fans ensemble
   work units (and oversized batches) out across spawn-safe worker
   processes with per-worker schedule-cache warm-up and a deterministic
   merge; :func:`run_ensemble_sharded` / :func:`run_svd_ensemble_sharded`
-  are the sharded twins of :func:`repro.engine.run_ensemble` /
+  are the sharded forms of :func:`repro.engine.run_ensemble` /
   :func:`repro.engine.run_svd_ensemble` (reachable as
-  ``run_ensemble(workers=N)`` / ``run_svd_ensemble(workers=N)``).
+  ``run_ensemble(workers=N)`` / ``run_svd_ensemble(workers=N)``), one
+  plan/map/merge core over :class:`ShardTask` units of either class;
+  :func:`solve_batch_remote` is the one worker entry of service
+  flushes.
 * :mod:`repro.service.batcher` — :class:`MicroBatcher` groups streaming
   submissions by key and flushes micro-batches by size or deadline,
   with per-key limit overrides.
@@ -94,16 +102,12 @@ from .pool import (
     ExecutorStats,
     ShardTask,
     ShardedExecutor,
-    SvdShardTask,
     default_worker_count,
     plan_shards,
-    plan_svd_shards,
     run_ensemble_sharded,
     run_svd_ensemble_sharded,
     solve_batch_remote,
     solve_ensemble_shard,
-    solve_svd_batch_remote,
-    solve_svd_ensemble_shard,
 )
 
 __all__ = [
@@ -146,16 +150,12 @@ __all__ = [
     "SharedMemoryTransport",
     "resolve_transport",
     "ShardTask",
-    "SvdShardTask",
     "ShardedExecutor",
     "ExecutorStats",
     "default_worker_count",
     "plan_shards",
-    "plan_svd_shards",
     "run_ensemble_sharded",
     "run_svd_ensemble_sharded",
     "solve_batch_remote",
     "solve_ensemble_shard",
-    "solve_svd_batch_remote",
-    "solve_svd_ensemble_shard",
 ]

@@ -3,10 +3,12 @@
 :class:`JacobiService` is the traffic-serving front of the repo: callers
 :meth:`~JacobiService.submit` matrices as they arrive and get back a
 :class:`~concurrent.futures.Future` resolving to a per-matrix result.
-Two traffic classes share one service:
+Two traffic classes share one service, each declared once as an entry
+of :data:`~repro.service.kinds.TRAFFIC_CLASSES` (admission, solver
+fields, engine call, result arrays) that every step below reads:
 
 * ``kind="eigen"`` (default) — symmetric matrices, resolving to a
-  :class:`SolveResult`, solved by
+  :class:`~repro.service.kinds.SolveResult`, solved by
   :class:`~repro.engine.batched.BatchedOneSidedJacobi` (bit-identical to
   a sequential :class:`~repro.jacobi.parallel.ParallelOneSidedJacobi`
   solve of the same matrix);
@@ -18,11 +20,12 @@ Two traffic classes share one service:
 Behind the facade,
 
 * a :class:`~repro.service.batcher.MicroBatcher` groups submissions by
-  kind-tagged keys — ``("eigen", m, ordering, d)`` /
-  ``("svd", n, m)`` — so eigen and SVD micro-batches flush separately,
-  each by size or deadline;
-* every flush is exactly one batched-engine call — run inline by the
-  dispatcher thread, or fanned out to a
+  the kind-tagged keys their class's admission returns —
+  ``("eigen", m, ordering, d)`` / ``("svd", n, m)`` — so eigen and SVD
+  micro-batches flush separately, each by size or deadline;
+* every flush is exactly one batched-engine call through the one
+  worker entry :func:`~repro.service.pool.solve_batch_remote` — run
+  inline by the dispatcher thread, or fanned out to a
   :class:`~repro.service.pool.ShardedExecutor` worker pool when the
   service was built with ``workers >= 2``;
 * per-matrix results are bit-identical to the sequential twin of their
@@ -31,8 +34,8 @@ Behind the facade,
 
 A convergence miss is service data, not an exception: the future
 resolves to a result with ``converged=False``.  Invalid submissions
-(non-finite entries, non-symmetric eigen input, wide SVD input, too
-small for the cube) are rejected synchronously at
+(complex, non-numeric or non-finite entries, non-symmetric eigen input,
+wide SVD input, too small for the cube) are rejected synchronously at
 :meth:`~JacobiService.submit` so one bad matrix can never poison a
 micro-batch.
 
@@ -90,42 +93,13 @@ from ..orderings.base import get_ordering
 from .adaptive import AdaptiveController, TuningBounds, TuningEvent
 from .admission import AdmissionDecision, AdmissionGate
 from .batcher import FLUSH_CAUSES, FlushEvent, MicroBatcher
-from .pool import ShardedExecutor, solve_batch_remote, solve_svd_batch_remote
+from .kinds import KINDS, TRAFFIC_CLASSES, SolveResult
+from .pool import ShardedExecutor, solve_batch_remote
 from .tracing import DEFAULT_TRACE_CAPACITY, Tracer, resolve_tracer
 from .transport import Transport, resolve_transport
 
 __all__ = ["KINDS", "SolveResult", "SvdResult", "ServiceStats",
            "JacobiService"]
-
-#: Traffic classes understood by :meth:`JacobiService.submit`.
-KINDS = ("eigen", "svd")
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """Per-matrix outcome handed back by the service.
-
-    Attributes
-    ----------
-    eigenvalues:
-        ``(m,)`` ascending eigenvalues.  When the service was built
-        with ``compute_eigenvectors=False`` these are the ascending
-        eigenvalue *magnitudes* ``|lambda|`` (the one-sided iterate's
-        column norms — signs need the accumulated transformations; the
-        sequential solver has the same contract).
-    eigenvectors:
-        ``(m, m)`` eigenvector columns (``(m, 0)`` when the service was
-        built with ``compute_eigenvectors=False``).
-    sweeps:
-        Sweeps this matrix needed.
-    converged:
-        Whether the tolerance was met within the sweep budget.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    sweeps: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -243,7 +217,7 @@ class ServiceStats:
 @dataclass
 class _Item:
     matrix: np.ndarray
-    future: "Future[SolveResult]"
+    future: "Future[Any]"
     req: int = -1
     kind: str = "eigen"
     tenant: Optional[str] = None
@@ -313,7 +287,8 @@ class JacobiService:
     compute_eigenvectors:
         Accumulate eigenvectors for eigen traffic (disable for
         sweep-count-only traffic; results then carry eigenvalue
-        magnitudes, not signs — see :class:`SolveResult`).  SVD traffic
+        magnitudes, not signs — see
+        :class:`~repro.service.kinds.SolveResult`).  SVD traffic
         always carries its full (U, S, Vt) factors.
     executor:
         Optionally share a pre-built
@@ -438,47 +413,6 @@ class JacobiService:
         self._next_request = 0
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _finite_copy(A: np.ndarray) -> np.ndarray:
-        # Always copy: the matrix is held across an asynchronous boundary
-        # (queued until a flush), so a caller reusing one buffer for
-        # successive submits must not retroactively change queued work.
-        A = np.array(A, dtype=np.float64, copy=True)
-        # NaN or inf never converges: it would hold its whole batch for
-        # the sweep budget before failing.
-        if not np.isfinite(A).all():
-            raise SimulationError("matrix has non-finite (NaN or inf) "
-                                  "entries")
-        return A
-
-    def _validate(self, A: np.ndarray, d: int) -> np.ndarray:
-        A = self._finite_copy(A)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise SimulationError(
-                f"service expects one square matrix per submit, got "
-                f"shape {A.shape}")
-        m = A.shape[0]
-        if m < (1 << (d + 1)):
-            raise SimulationError(
-                f"matrix dimension {m} too small for a {d}-cube "
-                f"(need m >= {1 << (d + 1)})")
-        if not np.allclose(A, A.T, atol=1e-12 * max(1.0, np.abs(A).max())):
-            raise SimulationError(
-                "one-sided Jacobi requires a symmetric matrix")
-        return A
-
-    def _validate_svd(self, A: np.ndarray) -> np.ndarray:
-        A = self._finite_copy(A)
-        if A.ndim != 2:
-            raise SimulationError(
-                f"service expects one matrix per submit, got shape "
-                f"{A.shape}")
-        if A.shape[0] < A.shape[1]:
-            raise SimulationError(
-                f"one-sided SVD expects n >= m (tall or square); got "
-                f"{A.shape}; pass A.T and swap U/V for wide matrices")
-        return A
-
     def _ensure_thread(self) -> None:
         if self._thread is None or not self._thread.is_alive():
             self._thread = threading.Thread(
@@ -499,8 +433,10 @@ class JacobiService:
             The matrix (copied on entry; validated synchronously
             against its traffic class).
         kind:
+            A key of :data:`~repro.service.kinds.TRAFFIC_CLASSES`:
             ``"eigen"`` (default) queues a symmetric matrix and
-            resolves to a :class:`SolveResult`; ``"svd"`` queues a
+            resolves to a :class:`~repro.service.kinds.SolveResult`;
+            ``"svd"`` queues a
             tall/square general matrix and resolves to an
             :class:`~repro.jacobi.svd.SvdResult` bit-identical to
             :func:`~repro.jacobi.svd.onesided_svd`.
@@ -537,8 +473,9 @@ class JacobiService:
         Raises
         ------
         SimulationError
-            The matrix is invalid for its kind: non-finite, not
-            symmetric (eigen), wide (SVD) or too small for the cube.
+            The matrix is invalid for its kind: complex, not numeric,
+            non-finite, not symmetric (eigen), wide (SVD) or too small
+            for the cube.
         QueueFull
             The service is at its ``max_queue`` bound and the
             admission policy rejected the submission (immediately
@@ -546,22 +483,12 @@ class JacobiService:
             ``"block"``, or because shedding freed no room under
             ``"shed"``).
         """
-        if kind not in KINDS:
+        traffic = TRAFFIC_CLASSES.get(kind)
+        if traffic is None:
             raise SimulationError(
                 f"unknown traffic kind {kind!r}; known: {KINDS}")
-        if kind == "svd":
-            if ordering is not None or d is not None:
-                raise SimulationError(
-                    "SVD traffic runs the sequential-equivalent "
-                    "round-robin engine; ordering/d do not apply")
-            A = self._validate_svd(A)
-            key = ("svd",) + A.shape
-        else:
-            name = self.ordering if ordering is None else str(ordering)
-            dim = self.d if d is None else int(d)
-            get_ordering(name, dim)  # validate before queueing
-            A = self._validate(A, dim)
-            key = ("eigen", A.shape[0], name, dim)
+        A, key = traffic.admit(self, A, ordering, d)
+        key = (kind,) + key
         future: "Future[Any]" = Future()
         shed: List[_Item] = []
         try:
@@ -760,21 +687,12 @@ class JacobiService:
                                         "size": event.size})
         handle: Optional[Any] = None
         try:
-            matrices = np.stack([item.matrix for item in items])
-            if kind == "svd":
-                solve = solve_svd_batch_remote
-                payload = {
-                    "matrices": matrices, "tol": self.tol,
-                    "max_sweeps": self.max_sweeps,
-                }
-            else:
-                _, _, name, dim = event.key
-                solve = solve_batch_remote
-                payload = {
-                    "matrices": matrices, "ordering": name, "d": dim,
-                    "tol": self.tol, "max_sweeps": self.max_sweeps,
-                    "compute_eigenvectors": self.compute_eigenvectors,
-                }
+            payload = {
+                "kind": kind,
+                "matrices": np.stack([item.matrix for item in items]),
+                "tol": self.tol, "max_sweeps": self.max_sweeps,
+                **TRAFFIC_CLASSES[kind].spec(self, event.key),
+            }
             use_pool = (self._executor is not None
                         and self._executor.uses_processes)
             wire, handle = self._transport.prepare(payload, kind)
@@ -792,7 +710,7 @@ class JacobiService:
                                       tenant=item.tenant,
                                       meta={"mode": mode})
             if use_pool:
-                fut = self._executor.submit(solve, wire)
+                fut = self._executor.submit(solve_batch_remote, wire)
                 # Register before wiring the callback: if the pool
                 # breaks mid-flush, close() sweeps this registry and
                 # fails the stranded items instead of waiting forever;
@@ -804,7 +722,8 @@ class JacobiService:
                     lambda f, its=items, ev=event, h=handle:
                         self._complete_remote(its, ev, h, f))
                 return
-            out = self._finalize(solve(wire), handle, event)
+            out = self._finalize(solve_batch_remote(wire), handle,
+                                 event)
         except BaseException as exc:  # noqa: BLE001 - futures carry it
             try:
                 self._transport.release(handle)
@@ -896,17 +815,7 @@ class JacobiService:
             # Build the result outside the guard: a malformed backend
             # payload must fail the future loudly, never be swallowed.
             try:
-                if "S" in out:  # SVD traffic class
-                    result: Any = SvdResult(
-                        U=out["U"][k], S=out["S"][k], Vt=out["Vt"][k],
-                        sweeps=int(out["sweeps"][k]),
-                        converged=bool(out["converged"][k]))
-                else:
-                    result = SolveResult(
-                        eigenvalues=out["eigenvalues"][k],
-                        eigenvectors=out["eigenvectors"][k],
-                        sweeps=int(out["sweeps"][k]),
-                        converged=bool(out["converged"][k]))
+                result = TRAFFIC_CLASSES[item.kind].member(out, k)
             except Exception as exc:
                 self._fail(items[k:], exc, event)
                 break

@@ -1,11 +1,11 @@
 """Sharded process-pool execution of ensemble work units.
 
-The Monte-Carlo workloads behind Table 2 are embarrassingly parallel
-twice over: the ``(m, P)`` configurations are independent, and within a
-configuration the matrices are independent too (the batched engine's
-bit-identity contract guarantees that solving any sub-batch yields
-exactly the per-matrix results of solving the whole ensemble).  This
-module exploits both axes:
+The Monte-Carlo workloads behind Table 2 and the SVD bench are
+embarrassingly parallel twice over: the configurations (or SVD shapes)
+are independent, and within one the matrices are independent too (the
+batched engines' bit-identity contract guarantees that solving any
+sub-batch yields exactly the per-matrix results of solving the whole
+ensemble).  This module exploits both axes, for both traffic classes:
 
 * :func:`plan_shards` decomposes an ensemble run into an ordered list of
   :class:`ShardTask` work units — one per ``(config, ordering)`` by
@@ -14,10 +14,13 @@ module exploits both axes:
 * :class:`ShardedExecutor` fans the units out across worker processes
   (or runs them inline when ``workers <= 1``), collecting results in
   submission order so the merge is deterministic;
-* :func:`run_ensemble_sharded` is the drop-in sharded twin of
-  :func:`repro.engine.runner.run_ensemble` — same arguments, same
-  :class:`~repro.engine.runner.EnsembleConfigResult` list, bit-identical
-  sweep counts regardless of the worker count or shard size.
+* :func:`run_ensemble_sharded` / :func:`run_svd_ensemble_sharded` wrap
+  one plan, map and merge core as drop-in forms of
+  :func:`repro.engine.runner.run_ensemble` /
+  :func:`repro.engine.runner.run_svd_ensemble` — same arguments, same
+  results, bit-identical for every worker count and shard size;
+* :func:`solve_batch_remote` is the one worker entry of service
+  flushes, whatever their traffic class.
 
 Spawn safety
 ------------
@@ -33,31 +36,46 @@ will need, so no worker rebuilds schedules mid-solve.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..engine.batched import BatchedOneSidedJacobi
+from ..engine.runner import (
+    ENGINES,
+    ENSEMBLE_ORDERINGS,
+    EnsembleConfigResult,
+    SvdEnsembleResult,
+    _check_config,
+    _check_num_matrices,
+    _check_shape,
+    generate_ensemble,
+    generate_svd_ensemble,
+)
+from ..engine.svd import BatchedOneSidedSVD
 from ..errors import SimulationError
 from ..jacobi.convergence import DEFAULT_TOL
+from ..jacobi.parallel import ParallelOneSidedJacobi
+from ..jacobi.svd import onesided_svd
 from ..orderings.base import get_ordering
+from .kinds import TRAFFIC_CLASSES
+from .transport import open_payload, seal_result
 
 __all__ = [
     "DEFAULT_WARM_SWEEPS",
     "ShardTask",
-    "SvdShardTask",
     "ExecutorStats",
     "ShardedExecutor",
     "plan_shards",
-    "plan_svd_shards",
     "solve_ensemble_shard",
-    "solve_svd_ensemble_shard",
     "solve_batch_remote",
-    "solve_svd_batch_remote",
     "run_ensemble_sharded",
     "run_svd_ensemble_sharded",
     "default_worker_count",
@@ -72,19 +90,23 @@ DEFAULT_WARM_SWEEPS = 8
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ShardTask:
-    """One picklable work unit: a slice of one (m, P, ordering) ensemble.
+    """One picklable work unit: a slice of one seeded ensemble.
 
     The matrices are *not* carried by the task — the worker regenerates
-    the configuration's full seeded ensemble (cheap next to the solve)
-    and slices ``[lo:hi]``, so every shard sees exactly the matrices the
+    the grid entry's full seeded ensemble (cheap next to the solve) and
+    slices ``[lo:hi]``, so every shard sees exactly the matrices the
     in-process path would have given it.
 
     Attributes
     ----------
-    m, P:
-        Matrix dimension and simulated node count of the configuration.
+    kind:
+        The traffic class, ``"eigen"`` or ``"svd"``.
+    config:
+        The grid entry: ``(m, P)`` (matrix dimension, simulated node
+        count) for eigen work, ``(n, m)`` (matrix shape) for SVD work.
     ordering:
-        Ordering family name.
+        Ordering family name; ``None`` for SVD work, which runs the
+        round-robin engine.
     lo, hi:
         The slice of the ensemble this shard solves.
     num_matrices, seed:
@@ -95,9 +117,9 @@ class ShardTask:
         ``"batched"`` or ``"sequential"``.
     """
 
-    m: int
-    P: int
-    ordering: str
+    kind: str
+    config: Tuple[int, int]
+    ordering: Optional[str]
     lo: int
     hi: int
     num_matrices: int
@@ -106,11 +128,6 @@ class ShardTask:
     max_sweeps: int
     engine: str
 
-    @property
-    def batch_size(self) -> int:
-        """Matrices this shard solves."""
-        return self.hi - self.lo
-
 
 def solve_ensemble_shard(task: ShardTask,
                          cache: Optional[Any] = None) -> np.ndarray:
@@ -118,19 +135,27 @@ def solve_ensemble_shard(task: ShardTask,
 
     Solves the :class:`ShardTask` ``task``, bit-identical to the
     corresponding slice of the in-process
-    :func:`~repro.engine.runner.run_ensemble` result.  ``cache`` is a
-    :class:`~repro.engine.cache.ScheduleCache` for the batched engine —
-    only meaningful when the shard runs inline (worker processes use
-    their own pre-warmed process cache).
+    :func:`~repro.engine.runner.run_ensemble` (eigen) or
+    :func:`~repro.engine.runner.run_svd_ensemble` (SVD) result.
+    ``cache`` is a :class:`~repro.engine.cache.ScheduleCache` for the
+    batched eigen engine — only meaningful when the shard runs inline
+    (worker processes use their own pre-warmed process cache).
     """
-    from ..engine.batched import BatchedOneSidedJacobi
-    from ..engine.runner import generate_ensemble
-    from ..jacobi.parallel import ParallelOneSidedJacobi
-
-    d = int(task.P).bit_length() - 1
-    matrices = generate_ensemble(task.m, task.P, task.num_matrices,
+    if task.kind == "svd":
+        n, m = task.config
+        matrices = generate_svd_ensemble(n, m, task.num_matrices,
+                                         task.seed)[task.lo:task.hi]
+        if task.engine == "batched":
+            return BatchedOneSidedSVD(
+                tol=task.tol,
+                max_sweeps=task.max_sweeps).count_sweeps(matrices)
+        return np.array([onesided_svd(A, tol=task.tol,
+                                      max_sweeps=task.max_sweeps).sweeps
+                         for A in matrices], dtype=np.int64)
+    m, P = task.config
+    matrices = generate_ensemble(m, P, task.num_matrices,
                                  task.seed)[task.lo:task.hi]
-    ordering = get_ordering(task.ordering, d)
+    ordering = get_ordering(task.ordering, int(P).bit_length() - 1)
     if task.engine == "batched":
         solver = BatchedOneSidedJacobi(ordering, tol=task.tol,
                                        max_sweeps=task.max_sweeps,
@@ -142,105 +167,51 @@ def solve_ensemble_shard(task: ShardTask,
                     dtype=np.int64)
 
 
-def solve_batch_remote(payload: Dict[str, Any]) -> Dict[str, np.ndarray]:
-    """Worker entry point for eigen service flushes: solve a shipped batch.
+def solve_batch_remote(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Worker entry point for service flushes: solve a shipped batch.
+
+    Serves every traffic class: the payload's ``kind`` selects its
+    :data:`~repro.service.kinds.TRAFFIC_CLASSES` entry, which builds
+    the batched-engine call and names the result arrays.
 
     Parameters
     ----------
     payload:
-        The stacked ``matrices`` plus the solver spec (``ordering`` /
-        ``d`` / ``tol`` / ``max_sweeps`` / ``compute_eigenvectors``).
+        The ``kind``, the stacked ``matrices``, ``tol`` /
+        ``max_sweeps``, and the solver fields the class's ``spec``
+        added (the eigen class's ``ordering`` / ``d`` /
+        ``compute_eigenvectors``).
 
     Returns
     -------
     dict
-        Plain arrays (``eigenvalues`` / ``eigenvectors`` / ``sweeps`` /
-        ``converged``) so the result pickles cheaply, plus ``elapsed``
-        — the wall-clock seconds of the solve, measured *here* (inside
-        the worker when dispatched remotely) so the service's per-kind
-        latency feedback reflects solve cost, not queueing or pickling
-        — and ``worker``, the solving process's pid, which is what the
-        tracing layer uses for per-worker attribution.  When the
-        payload is a shared-memory descriptor
-        (:func:`~repro.service.transport.open_payload`), the matrices
-        are read from the segment in place, the result arrays are
-        written back into it (:func:`~repro.service.transport.seal_result`),
-        and only the scalars cross the pipe.
-        Convergence failures are reported per matrix (``converged``
-        flags), never raised — the service decides what a miss means.
+        The class's result ``arrays``
+        (:class:`~repro.service.kinds.TrafficClass`) so the result
+        pickles cheaply, plus ``elapsed`` — the wall-clock seconds of
+        the solve, measured *here* (inside the worker when dispatched
+        remotely) so the service's per-kind latency feedback reflects
+        solve cost, not queueing or pickling — and ``worker``, the
+        solving process's pid, which is what the tracing layer uses
+        for per-worker attribution.  When the payload is a
+        shared-memory descriptor (:func:`~repro.service.transport.open_payload`),
+        the matrices are read from the segment in place, the result
+        arrays are written back into it
+        (:func:`~repro.service.transport.seal_result`), and only the
+        scalars cross the pipe.  Convergence failures are reported per
+        matrix (``converged`` flags), never raised — the service
+        decides what a miss means.
     """
-    import time as _time
-
-    from ..engine.batched import BatchedOneSidedJacobi
-    from .transport import open_payload, seal_result
-
     payload, segment = open_payload(payload)
     try:
-        ordering = get_ordering(payload["ordering"], payload["d"])
-        solver = BatchedOneSidedJacobi(ordering, tol=payload["tol"],
-                                       max_sweeps=payload["max_sweeps"])
-        t0 = _time.perf_counter()
-        res = solver.solve(
-            payload["matrices"],
-            compute_eigenvectors=payload["compute_eigenvectors"],
-            raise_on_no_convergence=False)
-        elapsed = _time.perf_counter() - t0
-        out = {"eigenvalues": res.eigenvalues,
-               "eigenvectors": res.eigenvectors,
-               "sweeps": res.sweeps,
-               "converged": res.converged,
-               "elapsed": elapsed,
-               "worker": os.getpid()}
-        return seal_result(out, segment)
-    finally:
-        if segment is not None:
-            # Drop the matrices view before unmapping the segment.
-            payload.clear()
-            segment.close()
-
-
-def solve_svd_batch_remote(payload: Dict[str, Any]) -> Dict[str, np.ndarray]:
-    """Worker entry point for SVD service flushes: thin-SVD a shipped batch.
-
-    The SVD twin of :func:`solve_batch_remote`: the batch rides the
-    round-robin mode of :class:`~repro.engine.svd.BatchedOneSidedSVD`,
-    whose per-matrix factors are bit-identical to
-    :func:`~repro.jacobi.svd.onesided_svd`.
-
-    Parameters
-    ----------
-    payload:
-        The stacked ``matrices`` plus ``tol`` / ``max_sweeps``.
-
-    Returns
-    -------
-    dict
-        Plain arrays (``U`` / ``S`` / ``Vt`` / ``sweeps`` /
-        ``converged``) plus ``elapsed``, the solve's wall-clock seconds
-        measured inside this call, and ``worker``, the solving
-        process's pid (per-worker trace attribution).  Shared-memory
-        descriptors are handled exactly as in
-        :func:`solve_batch_remote` — inputs read and factors written
-        in place, scalars only on the pipe.  Convergence misses are
-        data (``converged`` flags), never raised.
-    """
-    import time as _time
-
-    from ..engine.svd import BatchedOneSidedSVD
-    from .transport import open_payload, seal_result
-
-    payload, segment = open_payload(payload)
-    try:
-        solver = BatchedOneSidedSVD(tol=payload["tol"],
-                                    max_sweeps=payload["max_sweeps"])
-        t0 = _time.perf_counter()
-        res = solver.solve(payload["matrices"],
-                           raise_on_no_convergence=False)
-        elapsed = _time.perf_counter() - t0
-        out = {"U": res.U, "S": res.S, "Vt": res.Vt,
-               "sweeps": res.sweeps, "converged": res.converged,
-               "elapsed": elapsed,
-               "worker": os.getpid()}
+        traffic = TRAFFIC_CLASSES[payload["kind"]]
+        solve = traffic.solver(payload)
+        t0 = time.perf_counter()
+        res = solve(payload["matrices"])
+        elapsed = time.perf_counter() - t0
+        out: Dict[str, Any] = {name: getattr(res, name)
+                               for name, _, _ in traffic.arrays}
+        out["elapsed"] = elapsed
+        out["worker"] = os.getpid()
         return seal_result(out, segment)
     finally:
         if segment is not None:
@@ -417,11 +388,12 @@ def _resolve_shard_size(units: int, num_matrices: int, workers: int,
 
 
 def plan_shards(configs: Sequence[Tuple[int, int]],
-                orderings: Sequence[str],
+                orderings: Sequence[Optional[str]],
                 num_matrices: int,
                 workers: int,
                 shard_size: Optional[int] = None,
                 *,
+                kind: str = "eigen",
                 seed: int = 1998,
                 tol: float = DEFAULT_TOL,
                 max_sweeps: int = 60,
@@ -440,9 +412,11 @@ def plan_shards(configs: Sequence[Tuple[int, int]],
     Parameters
     ----------
     configs:
-        ``(m, P)`` configuration grid.
+        The grid: ``(m, P)`` configurations for eigen work, ``(n, m)``
+        shapes for SVD work.
     orderings:
-        Ordering family names, in column order.
+        Ordering family names, in column order; ``[None]`` for SVD
+        work, which has no ordering.
     num_matrices:
         Ensemble size per configuration.
     workers:
@@ -450,24 +424,67 @@ def plan_shards(configs: Sequence[Tuple[int, int]],
     shard_size:
         Forced matrices-per-unit (``None`` = whole ensembles unless
         splitting is needed).
+    kind:
+        The traffic class of the work, ``"eigen"`` (default) or
+        ``"svd"``.
     seed, tol, max_sweeps, engine:
         Solver spec baked into every :class:`ShardTask`.
     """
-    if num_matrices < 1:
-        raise SimulationError(
-            f"num_matrices must be >= 1, got {num_matrices}")
+    _check_num_matrices(num_matrices)
     shard_size = _resolve_shard_size(len(configs) * len(orderings),
                                      num_matrices, workers, shard_size)
     plan: List[Tuple[int, ShardTask]] = []
-    for ci, (m, P) in enumerate(configs):
+    for ci, (a, b) in enumerate(configs):
         for name in orderings:
             for lo in range(0, num_matrices, shard_size):
                 hi = min(lo + shard_size, num_matrices)
                 plan.append((ci, ShardTask(
-                    m=int(m), P=int(P), ordering=str(name), lo=lo, hi=hi,
-                    num_matrices=num_matrices, seed=seed, tol=tol,
-                    max_sweeps=max_sweeps, engine=engine)))
+                    kind=kind, config=(int(a), int(b)), ordering=name,
+                    lo=lo, hi=hi, num_matrices=num_matrices, seed=seed,
+                    tol=tol, max_sweeps=max_sweeps, engine=engine)))
     return plan
+
+
+def _run_sharded(kind: str, configs: Sequence[Tuple[int, int]],
+                 orderings: Sequence[Optional[str]], num_matrices: int,
+                 seed: int, tol: float, engine: str, max_sweeps: int,
+                 workers: int, shard_size: Optional[int],
+                 mp_context: str, executor: Optional[ShardedExecutor],
+                 warm: Sequence[Tuple[str, int]] = (),
+                 cache: Optional[Any] = None
+                 ) -> List[Dict[Optional[str], np.ndarray]]:
+    """Plan, map and merge one sharded ensemble run: per config, each
+    ordering's sweep counts concatenated back in plan order."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
+    # Plan for the parallelism that will actually execute: a shared
+    # executor's worker count wins over the `workers` argument.
+    plan_workers = executor.workers if executor is not None else workers
+    plan = plan_shards(configs, orderings, num_matrices, plan_workers,
+                       shard_size, kind=kind, seed=seed, tol=tol,
+                       max_sweeps=max_sweeps, engine=engine)
+    own = executor is None
+    executor = executor if executor is not None else ShardedExecutor(
+        workers, mp_context=mp_context, warm=warm)
+    if cache is not None and executor.uses_processes:
+        if own:
+            executor.shutdown()
+        raise ValueError(
+            "an explicit schedule cache cannot be used with worker "
+            "processes (each worker has its own process cache); drop "
+            "the cache argument or use workers<=1")
+    solve = (functools.partial(solve_ensemble_shard, cache=cache)
+             if cache is not None else solve_ensemble_shard)
+    try:
+        outs = executor.map_ordered(solve, [task for _, task in plan])
+    finally:
+        if own:
+            executor.shutdown()
+    chunks: Dict[Tuple[int, Optional[str]], List[np.ndarray]] = {}
+    for (ci, task), arr in zip(plan, outs):
+        chunks.setdefault((ci, task.ordering), []).append(arr)
+    return [{name: np.concatenate(chunks[ci, name]) for name in orderings}
+            for ci in range(len(configs))]
 
 
 def run_ensemble_sharded(configs: Sequence[Tuple[int, int]],
@@ -482,8 +499,8 @@ def run_ensemble_sharded(configs: Sequence[Tuple[int, int]],
                          mp_context: str = "spawn",
                          executor: Optional[ShardedExecutor] = None,
                          cache: Optional[Any] = None
-                         ) -> List["Any"]:
-    """Sharded twin of :func:`repro.engine.runner.run_ensemble`.
+                         ) -> List[EnsembleConfigResult]:
+    """Sharded form of :func:`repro.engine.runner.run_ensemble`.
 
     Fans the run's shard plan across ``workers`` processes (inline when
     ``workers <= 1``) and merges the per-shard sweep counts back into
@@ -517,161 +534,15 @@ def run_ensemble_sharded(configs: Sequence[Tuple[int, int]],
         live in other processes; silently ignoring the argument would
         be worse).
     """
-    import functools
-
-    from ..engine.runner import (
-        ENGINES,
-        ENSEMBLE_ORDERINGS,
-        EnsembleConfigResult,
-        _check_config,
-    )
-
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
-    if orderings is None:
-        orderings = ENSEMBLE_ORDERINGS
-    dims = {name: None for name in orderings}  # insertion-ordered names
+    names = list(dict.fromkeys(
+        ENSEMBLE_ORDERINGS if orderings is None else orderings))
     warm = sorted({(name, _check_config(m, P))
-                   for (m, P) in configs for name in dims})
-    # Plan for the parallelism that will actually execute: a shared
-    # executor's worker count wins over the `workers` argument.
-    plan_workers = executor.workers if executor is not None else workers
-    plan = plan_shards(configs, list(dims), num_matrices, plan_workers,
-                       shard_size, seed=seed, tol=tol,
-                       max_sweeps=max_sweeps, engine=engine)
-    own = executor is None
-    executor = executor if executor is not None else ShardedExecutor(
-        workers, mp_context=mp_context, warm=warm)
-    if cache is not None and executor.uses_processes:
-        if own:
-            executor.shutdown()
-        raise ValueError(
-            "an explicit schedule cache cannot be used with worker "
-            "processes (each worker has its own process cache); drop "
-            "the cache argument or use workers<=1")
-    solve = (functools.partial(solve_ensemble_shard, cache=cache)
-             if cache is not None else solve_ensemble_shard)
-    try:
-        outs = executor.map_ordered(solve, [task for _, task in plan])
-    finally:
-        if own:
-            executor.shutdown()
-    chunks: Dict[int, Dict[str, List[np.ndarray]]] = {}
-    for (ci, task), arr in zip(plan, outs):
-        chunks.setdefault(ci, {}).setdefault(task.ordering, []).append(arr)
-    results = []
-    for ci, (m, P) in enumerate(configs):
-        sweeps = {name: np.concatenate(chunks[ci][name])
-                  for name in dims}
-        results.append(EnsembleConfigResult(m=int(m), P=int(P),
-                                            sweeps=sweeps))
-    return results
-
-
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SvdShardTask:
-    """One picklable SVD work unit: a slice of one (n, m) ensemble.
-
-    Like :class:`ShardTask`, matrices are regenerated from their seeded
-    stream inside the worker (never shipped) and sliced ``[lo:hi]``, so
-    every shard sees exactly the matrices the in-process path would
-    have given it.
-
-    Attributes
-    ----------
-    n, m:
-        Matrix shape of the ensemble.
-    lo, hi:
-        The slice of the ensemble this shard solves.
-    num_matrices, seed:
-        Full ensemble size and RNG seed (the regeneration inputs).
-    tol, max_sweeps:
-        Convergence tolerance and per-matrix sweep budget.
-    engine:
-        ``"batched"`` or ``"sequential"``.
-    """
-
-    n: int
-    m: int
-    lo: int
-    hi: int
-    num_matrices: int
-    seed: int
-    tol: float
-    max_sweeps: int
-    engine: str
-
-    @property
-    def batch_size(self) -> int:
-        """Matrices this shard solves."""
-        return self.hi - self.lo
-
-
-def solve_svd_ensemble_shard(task: SvdShardTask) -> np.ndarray:
-    """Worker entry point: sweep counts of one SVD shard (``(hi-lo,)``).
-
-    Solves the :class:`SvdShardTask` ``task``, bit-identical to the
-    corresponding slice of the in-process
-    :func:`~repro.engine.runner.run_svd_ensemble` result.
-    """
-    from ..engine.runner import generate_svd_ensemble
-    from ..engine.svd import BatchedOneSidedSVD
-    from ..jacobi.svd import onesided_svd
-
-    matrices = generate_svd_ensemble(task.n, task.m, task.num_matrices,
-                                     task.seed)[task.lo:task.hi]
-    if task.engine == "batched":
-        solver = BatchedOneSidedSVD(tol=task.tol,
-                                    max_sweeps=task.max_sweeps)
-        return solver.count_sweeps(matrices)
-    return np.array([onesided_svd(A, tol=task.tol,
-                                  max_sweeps=task.max_sweeps).sweeps
-                     for A in matrices], dtype=np.int64)
-
-
-def plan_svd_shards(shapes: Sequence[Tuple[int, int]],
-                    num_matrices: int,
-                    workers: int,
-                    shard_size: Optional[int] = None,
-                    *,
-                    seed: int = 1998,
-                    tol: float = DEFAULT_TOL,
-                    max_sweeps: int = 60,
-                    engine: str = "batched"
-                    ) -> List[Tuple[int, SvdShardTask]]:
-    """Decompose an SVD ensemble run into ordered ``(shape_index, task)``
-    work units — one per shape by default, split into contiguous chunks
-    when that would leave workers idle.  Plan order is merge order.
-
-    Parameters
-    ----------
-    shapes:
-        ``(n, m)`` shape grid.
-    num_matrices:
-        Ensemble size per shape.
-    workers:
-        The parallelism the plan should occupy.
-    shard_size:
-        Forced matrices-per-unit (``None`` = whole ensembles unless
-        splitting is needed).
-    seed, tol, max_sweeps, engine:
-        Solver spec baked into every :class:`SvdShardTask`.
-    """
-    if num_matrices < 1:
-        raise SimulationError(
-            f"num_matrices must be >= 1, got {num_matrices}")
-    shard_size = _resolve_shard_size(len(shapes), num_matrices, workers,
-                                     shard_size)
-    plan: List[Tuple[int, SvdShardTask]] = []
-    for si, (n, m) in enumerate(shapes):
-        for lo in range(0, num_matrices, shard_size):
-            hi = min(lo + shard_size, num_matrices)
-            plan.append((si, SvdShardTask(
-                n=int(n), m=int(m), lo=lo, hi=hi,
-                num_matrices=num_matrices, seed=seed, tol=tol,
-                max_sweeps=max_sweeps, engine=engine)))
-    return plan
+                   for (m, P) in configs for name in names})
+    merged = _run_sharded("eigen", configs, names, num_matrices, seed, tol,
+                          engine, max_sweeps, workers, shard_size,
+                          mp_context, executor, warm=warm, cache=cache)
+    return [EnsembleConfigResult(m=int(m), P=int(P), sweeps=sweeps)
+            for (m, P), sweeps in zip(configs, merged)]
 
 
 def run_svd_ensemble_sharded(shapes: Sequence[Tuple[int, int]],
@@ -684,60 +555,23 @@ def run_svd_ensemble_sharded(shapes: Sequence[Tuple[int, int]],
                              shard_size: Optional[int] = None,
                              mp_context: str = "spawn",
                              executor: Optional[ShardedExecutor] = None
-                             ) -> List["Any"]:
-    """Sharded twin of :func:`repro.engine.runner.run_svd_ensemble`.
+                             ) -> List[SvdEnsembleResult]:
+    """Sharded form of :func:`repro.engine.runner.run_svd_ensemble`.
 
-    Fans the run's SVD shard plan across ``workers`` processes (inline
-    when ``workers <= 1``) and merges the per-shard sweep counts back
-    into per-shape results in plan order — bit-identical to the
-    in-process path for every ``workers``/``shard_size`` choice.  The
-    round-robin SVD engine needs no schedule warm-up, so workers start
-    cold-cache without a miss penalty.
-
-    Parameters
-    ----------
-    shapes:
-        ``(n, m)`` shape grid.
-    num_matrices, seed:
-        Ensemble size per shape and RNG seed.
-    tol, max_sweeps:
-        Convergence tolerance and per-matrix sweep budget.
-    engine:
-        ``"batched"`` or ``"sequential"``.
-    workers, shard_size:
-        Parallelism and forced shard size (see
-        :func:`plan_svd_shards`).
-    mp_context:
-        Multiprocessing start method for a pool built here.
-    executor:
-        Reuse a warm pool across calls; it is then *not* shut down
-        here (and its worker count wins over ``workers``).
+    :func:`run_ensemble_sharded` over an ``(n, m)`` ``shapes`` grid of
+    SVD work (one column, ordering ``None``; no schedule warm-up, no
+    ``cache``): ``num_matrices``, ``seed``, ``tol``, ``engine``,
+    ``max_sweeps``, ``workers``, ``shard_size``, ``mp_context`` and
+    ``executor`` mean the same there, and the sweep counts are
+    bit-identical to the in-process path for every choice.
     """
-    from ..engine.runner import ENGINES, SvdEnsembleResult, _check_shape
-
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
     for n, m in shapes:
         _check_shape(n, m)
-    plan_workers = executor.workers if executor is not None else workers
-    plan = plan_svd_shards(shapes, num_matrices, plan_workers, shard_size,
-                           seed=seed, tol=tol, max_sweeps=max_sweeps,
-                           engine=engine)
-    own = executor is None
-    executor = executor if executor is not None else ShardedExecutor(
-        workers, mp_context=mp_context)
-    try:
-        outs = executor.map_ordered(solve_svd_ensemble_shard,
-                                    [task for _, task in plan])
-    finally:
-        if own:
-            executor.shutdown()
-    chunks: Dict[int, List[np.ndarray]] = {}
-    for (si, _task), arr in zip(plan, outs):
-        chunks.setdefault(si, []).append(arr)
-    return [SvdEnsembleResult(n=int(n), m=int(m),
-                              sweeps=np.concatenate(chunks[si]))
-            for si, (n, m) in enumerate(shapes)]
+    merged = _run_sharded("svd", shapes, [None], num_matrices, seed, tol,
+                          engine, max_sweeps, workers, shard_size,
+                          mp_context, executor)
+    return [SvdEnsembleResult(n=int(n), m=int(m), sweeps=sweeps[None])
+            for (n, m), sweeps in zip(shapes, merged)]
 
 
 def default_worker_count() -> int:

@@ -7,11 +7,12 @@ module's concern, and nothing else's: the default
 pool's pickle pipe (two serialisations and two copies each way), while
 :class:`SharedMemoryTransport` places each flush's inputs **and** its
 result arrays in one :mod:`multiprocessing.shared_memory` segment so
-workers read the matrices in place and write the factors
-(eigenvalues/vectors, U/S/Vt, sweeps, converged) straight back into the
-same segment — only a small descriptor ever crosses the pipe.  This is
-the service-scale remedy for the serial gather bottleneck the paper
-attributes to communication, not arithmetic.
+workers read the matrices in place and write the result arrays their
+traffic class declares (:data:`~repro.service.kinds.TRAFFIC_CLASSES`)
+straight back into the same segment — only a small descriptor ever
+crosses the pipe.  This is the service-scale remedy for the serial
+gather bottleneck the paper attributes to communication, not
+arithmetic.
 
 Transports never change *what* is solved or the order results merge in,
 only the bytes' route — so both transports are bit-identical to each
@@ -23,7 +24,8 @@ Segment life cycle
 Segments come from a small ring of reusable, size-classed buffers:
 
 * :meth:`SharedMemoryTransport.prepare` sizes one segment for the
-  flush's input stack plus its (precomputable) result layout, takes a
+  flush's input stack plus its result layout (precomputed by
+  :meth:`~repro.service.kinds.TrafficClass.layout`), takes a
   free segment of that size class from the ring — or creates one — and
   copies the matrices in.  Ownership passes to the flush: the handle
   rides the dispatch and nobody else may touch the segment.
@@ -53,6 +55,7 @@ behind the same seam without touching the dispatch paths.
 Example
 -------
 >>> import numpy as np
+>>> from repro.service.kinds import TRAFFIC_CLASSES
 >>> from repro.service.transport import (SharedMemoryTransport,
 ...                                      open_payload, seal_result)
 >>> t = SharedMemoryTransport()
@@ -64,13 +67,13 @@ Example
 >>> decoded, seg = open_payload(wire)          # what a worker does
 >>> bool(np.array_equal(decoded["matrices"], payload["matrices"]))
 True
->>> out = {"U": np.zeros((2, 4, 4)), "S": np.ones((2, 4)),
-...        "Vt": np.zeros((2, 4, 4)), "sweeps": np.zeros(2, np.int64),
-...        "converged": np.ones(2, bool), "elapsed": 0.0, "worker": 1}
->>> back = seal_result(out, seg)
+>>> layout = TRAFFIC_CLASSES["svd"].layout(payload)
+>>> out = {name: np.ones(shape, dtype)
+...        for name, (shape, dtype) in layout.items()}
+>>> back = seal_result(dict(out, elapsed=0.0, worker=1), seg)
 >>> seg.close()
 >>> result = t.finalize(back, handle)          # and the service again
->>> bool(result["S"].all()), result["worker"]
+>>> all(result[name].all() for name in layout), result["worker"]
 (True, 1)
 >>> t.close()
 """
@@ -87,6 +90,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import SimulationError
+from .kinds import TRAFFIC_CLASSES
 
 __all__ = [
     "TRANSPORTS",
@@ -96,7 +100,6 @@ __all__ = [
     "PickleTransport",
     "SharedMemoryTransport",
     "resolve_transport",
-    "result_fields",
     "open_payload",
     "seal_result",
 ]
@@ -117,47 +120,6 @@ _ALIGN = 64
 _Fields = Dict[str, Tuple[int, Tuple[int, ...], str]]
 
 
-def result_fields(payload: Dict[str, Any], kind: str
-                  ) -> Dict[str, Tuple[Tuple[int, ...], Any]]:
-    """The result arrays a flush will produce: name -> (shape, dtype).
-
-    Knowable service-side *before* the solve — eigen and thin-SVD
-    output shapes are functions of the input stack alone — which is
-    what lets the shm transport pre-size one segment for a flush's
-    inputs and outputs together.
-
-    Parameters
-    ----------
-    payload:
-        The flush payload (``matrices`` stacked, plus
-        ``compute_eigenvectors`` for eigen traffic).
-    kind:
-        The traffic class, ``"eigen"`` or ``"svd"``.
-
-    Returns
-    -------
-    dict
-        ``name -> (shape, dtype)`` for every result array of the kind,
-        matching :func:`~repro.service.pool.solve_batch_remote` /
-        :func:`~repro.service.pool.solve_svd_batch_remote` exactly.
-    """
-    shape = payload["matrices"].shape
-    num = int(shape[0])
-    if kind == "svd":
-        n, m = int(shape[1]), int(shape[2])
-        return {"U": ((num, n, m), np.float64),
-                "S": ((num, m), np.float64),
-                "Vt": ((num, m, m), np.float64),
-                "sweeps": ((num,), np.int64),
-                "converged": ((num,), np.bool_)}
-    m = int(shape[1])
-    vec = m if payload.get("compute_eigenvectors", True) else 0
-    return {"eigenvalues": ((num, m), np.float64),
-            "eigenvectors": ((num, m, vec), np.float64),
-            "sweeps": ((num,), np.int64),
-            "converged": ((num,), np.bool_)}
-
-
 def _layout(payload: Dict[str, Any], kind: str) -> Tuple[_Fields, int]:
     """Lay the flush's input and result arrays out in one buffer,
     ``_ALIGN``-aligned; returns the field table and the total bytes."""
@@ -172,7 +134,8 @@ def _layout(payload: Dict[str, Any], kind: str) -> Tuple[_Fields, int]:
         offset += int(np.prod(shape, dtype=np.int64)) * dt.itemsize
 
     _add("matrices", payload["matrices"].shape, np.float64)
-    for name, (shape, dtype) in result_fields(payload, kind).items():
+    for name, (shape, dtype) in TRAFFIC_CLASSES[kind].layout(
+            payload).items():
         _add(name, shape, dtype)
     return fields, max(offset, 1)
 
@@ -381,8 +344,9 @@ class SharedMemoryTransport(Transport):
         share a few size classes instead of fragmenting the ring.
 
     One segment carries a whole flush — the input stack *and* every
-    result array, at precomputed aligned offsets (:func:`result_fields`)
-    — so each flush costs at most one segment creation, one descriptor
+    result array, at aligned offsets precomputed from the traffic
+    class's :meth:`~repro.service.kinds.TrafficClass.layout` — so each
+    flush costs at most one segment creation, one descriptor
     over the pipe, and zero pickled array bytes.  See the module
     docstring for the ownership/cleanup protocol.
 
@@ -627,10 +591,12 @@ def open_payload(payload: Dict[str, Any]
 
 def echo_flush(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Loopback worker entry point: decode an eigen-shaped flush
-    ``payload``, fill every result array with a deterministic function
-    of the input matrices (eigenvalues take the diagonals, eigenvectors
-    the matrices themselves), and seal the result — the complete
-    data-plane round trip with no solver in the loop.
+    ``payload``, fill every result array of the eigen class's layout
+    with a deterministic function of the input matrices (an array
+    shaped like the stack takes the matrices themselves, one shaped
+    like their diagonals the diagonals, the rest zeros), and seal the
+    result — the complete data-plane round trip with no solver in the
+    loop.
 
     Importable in spawned workers like the real entry points in
     :mod:`repro.service.pool`; ``benchmarks/test_bench_transport.py``
@@ -641,12 +607,12 @@ def echo_flush(payload: Dict[str, Any]) -> Dict[str, Any]:
     try:
         mats = decoded["matrices"]
         out: Dict[str, Any] = {}
-        for name, (shape, dtype) in result_fields(decoded,
-                                                  "eigen").items():
-            if name == "eigenvalues":
-                out[name] = np.einsum("bii->bi", mats).astype(dtype)
-            elif name == "eigenvectors" and shape[-1]:
+        for name, (shape, dtype) in TRAFFIC_CLASSES["eigen"].layout(
+                decoded).items():
+            if shape == mats.shape:
                 out[name] = mats.astype(dtype)
+            elif shape == mats.shape[:2]:
+                out[name] = np.einsum("bii->bi", mats).astype(dtype)
             else:
                 out[name] = np.zeros(shape, dtype=dtype)
         out["elapsed"] = 0.0

@@ -10,7 +10,9 @@ name in :mod:`repro.engine` and :mod:`repro.service`:
   count — what matters is that no argument is undocumented);
 * every Sphinx cross-reference (``:class:`...```, ``:func:`...``` etc.)
   that points into ``repro`` resolves to a real, importable object — a
-  renamed function can no longer leave stale references behind.
+  renamed function can no longer leave stale references behind;
+* every name a module lists in ``__all__`` exists, so a deleted name
+  cannot linger in an export list.
 
 This is deliberately a test, not a lint rule: the selected ruff tier is
 "must be a real bug" only, and the D-rules fight the repo's numpydoc
@@ -146,3 +148,13 @@ def test_cross_references_resolve(mod):
             stale.append(target)
     assert not stale, (
         f"{mod.__name__} has stale cross-reference(s): {sorted(set(stale))}")
+
+
+@pytest.mark.parametrize("mod", MODULES,
+                         ids=[m.__name__ for m in MODULES])
+def test_all_entries_resolve(mod):
+    """A stale ``__all__`` entry breaks ``from mod import *`` only at
+    the caller's import time; catch it here."""
+    missing = [name for name in getattr(mod, "__all__", ())
+               if not hasattr(mod, name)]
+    assert not missing, f"{mod.__name__}.__all__ lists missing {missing}"

@@ -9,6 +9,7 @@ thread is exercised with generous delays to stay robust on slow boxes.
 
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import wait
 
 import numpy as np
@@ -233,6 +234,29 @@ class TestValidation:
         with JacobiService(d=1) as svc:
             with pytest.raises(SimulationError, match="non-finite"):
                 svc.submit(A, kind=kind)
+            assert svc.stats().submitted == 0
+
+    @pytest.mark.parametrize("kind", ("eigen", "svd"))
+    def test_rejects_complex(self, kind):
+        """Casting to float64 would drop the imaginary part behind a
+        mere ComplexWarning and solve a different matrix."""
+        A = np.ones((8, 8)) * (1 + 1j)
+        with JacobiService(d=1) as svc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SimulationError, match="complex"):
+                    svc.submit(A, kind=kind)
+            assert svc.stats().submitted == 0
+
+    @pytest.mark.parametrize("kind", ("eigen", "svd"))
+    @pytest.mark.parametrize("bad", (np.full((8, 8), "x"),
+                                     np.full((8, 8), "x", dtype=object),
+                                     [[1.0, 2.0], [3.0]]),
+                             ids=("strings", "objects", "ragged"))
+    def test_rejects_non_numeric(self, kind, bad):
+        with JacobiService(d=1) as svc:
+            with pytest.raises(SimulationError, match="not numeric"):
+                svc.submit(bad, kind=kind)
             assert svc.stats().submitted == 0
 
     def test_rejects_unknown_ordering_eagerly(self):

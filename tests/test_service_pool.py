@@ -13,15 +13,30 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import run_ensemble
+from repro.engine import ENGINES, run_ensemble, run_svd_ensemble
 from repro.engine.cache import GLOBAL_SCHEDULE_CACHE
 from repro.errors import SimulationError
-from repro.service import ShardedExecutor, plan_shards, solve_ensemble_shard
+from repro.service import (
+    ShardedExecutor,
+    plan_shards,
+    run_svd_ensemble_sharded,
+    solve_ensemble_shard,
+)
 from repro.service.pool import _warm_worker, default_worker_count
 
 #: The equivalence grid shared with the engine tests: mixed dimensions,
 #: mixed cube sizes.
 GRID = [(16, 2), (16, 4), (8, 2)]
+
+#: The SVD equivalence grid: tall, square and small shapes mixed.
+SVD_GRID = [(24, 16), (16, 16), (12, 8)]
+
+
+def _assert_same_svd(a, b):
+    assert [(x.n, x.m) for x in a] == [(y.n, y.m) for y in b]
+    for x, y in zip(a, b):
+        assert np.array_equal(x.sweeps, y.sweeps), \
+            f"sweep counts diverged at (n={x.n}, m={x.m})"
 
 
 def _assert_same(a, b):
@@ -65,6 +80,27 @@ class TestPlanShards:
             plan_shards(GRID, ["br"], num_matrices=4, workers=1,
                         shard_size=0)
 
+    def test_svd_one_unit_per_shape(self):
+        plan = plan_shards(SVD_GRID, [None], num_matrices=6, workers=1,
+                           kind="svd")
+        assert [(ci, t.config) for ci, t in plan] == list(
+            enumerate(SVD_GRID))
+        assert all(t.kind == "svd" and t.ordering is None
+                   and (t.lo, t.hi) == (0, 6) for _, t in plan)
+
+    def test_svd_splits_when_fewer_units_than_workers(self):
+        plan = plan_shards([(24, 16)], [None], num_matrices=8, workers=4,
+                           kind="svd")
+        assert [(t.lo, t.hi) for _, t in plan] == [(0, 2), (2, 4),
+                                                   (4, 6), (6, 8)]
+
+    def test_svd_explicit_shard_size_partitions_exactly(self):
+        plan = plan_shards(SVD_GRID, [None], num_matrices=5, workers=1,
+                           shard_size=2, kind="svd")
+        assert [(ci, t.lo, t.hi) for ci, t in plan] == [
+            (ci, lo, min(lo + 2, 5)) for ci in range(3)
+            for lo in (0, 2, 4)]
+
 
 class TestShardTask:
     def test_shard_solve_matches_ensemble_slice(self):
@@ -84,6 +120,17 @@ class TestShardTask:
         (_, task), = plan
         assert np.array_equal(solve_ensemble_shard(task),
                               full[0].sweeps["br"])
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_svd_shard_solve_matches_ensemble_slice(self, engine):
+        full = run_svd_ensemble([(12, 8)], num_matrices=5, seed=3,
+                                engine=engine)
+        plan = plan_shards([(12, 8)], [None], num_matrices=5, workers=1,
+                           shard_size=2, kind="svd", seed=3,
+                           engine=engine)
+        parts = [solve_ensemble_shard(task) for _, task in plan]
+        assert [len(p) for p in parts] == [2, 2, 1]
+        assert np.array_equal(np.concatenate(parts), full[0].sweeps)
 
 
 class TestShardedExecutorInline:
@@ -311,6 +358,51 @@ class TestRunEnsembleSharded:
             run_ensemble([(8, 2)], num_matrices=2, workers=2,
                          cache=ScheduleCache())
 
+    def test_svd_workers1_equals_in_process(self):
+        _assert_same_svd(run_svd_ensemble(SVD_GRID, num_matrices=4,
+                                          seed=11),
+                         run_svd_ensemble(SVD_GRID, num_matrices=4,
+                                          seed=11, workers=1))
+
+    def test_svd_chunked_shards_equal_in_process(self):
+        _assert_same_svd(run_svd_ensemble(SVD_GRID, num_matrices=5,
+                                          seed=11),
+                         run_svd_ensemble(SVD_GRID, num_matrices=5,
+                                          seed=11, workers=1,
+                                          shard_size=2))
+
+    def test_svd_workers1_equals_sequential_engine(self):
+        _assert_same_svd(run_svd_ensemble(SVD_GRID, num_matrices=3,
+                                          seed=11, engine="sequential"),
+                         run_svd_ensemble(SVD_GRID, num_matrices=3,
+                                          seed=11, workers=1,
+                                          engine="sequential"))
+        _assert_same_svd(run_svd_ensemble(SVD_GRID, num_matrices=3,
+                                          seed=11, engine="sequential"),
+                         run_svd_ensemble(SVD_GRID, num_matrices=3,
+                                          seed=11, workers=1))
+
+    def test_svd_executor_reuse_across_calls(self):
+        with ShardedExecutor(1) as ex:
+            a = run_svd_ensemble_sharded(SVD_GRID, num_matrices=3,
+                                         seed=11, executor=ex)
+            b = run_svd_ensemble_sharded(SVD_GRID, num_matrices=3,
+                                         seed=11, shard_size=1,
+                                         executor=ex)
+            assert ex.stats().tasks_inline == 3 + 9
+        _assert_same_svd(a, b)
+        _assert_same_svd(a, run_svd_ensemble(SVD_GRID, num_matrices=3,
+                                              seed=11))
+
+    def test_svd_workers2_equals_in_process_spawn(self):
+        """Real spawned worker processes reproduce the SVD counts bit
+        for bit."""
+        _assert_same_svd(run_svd_ensemble(SVD_GRID, num_matrices=4,
+                                          seed=11),
+                         run_svd_ensemble(SVD_GRID, num_matrices=4,
+                                          seed=11, workers=2,
+                                          shard_size=3))
+
     def test_default_orderings_match_run_ensemble(self):
         """run_ensemble_sharded's default column set is the runner's
         ENSEMBLE_ORDERINGS constant, not a drifting copy."""
@@ -320,3 +412,19 @@ class TestRunEnsembleSharded:
         res = run_ensemble_sharded([(8, 2)], num_matrices=2, seed=5,
                                    workers=1)
         assert tuple(res[0].sweeps) == ENSEMBLE_ORDERINGS
+
+
+@pytest.mark.parametrize("num_matrices", (0, -1))
+@pytest.mark.parametrize("workers", (0, 1))
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("runner, grid", ((run_ensemble, [(8, 2)]),
+                                          (run_svd_ensemble, [(8, 4)])),
+                         ids=("eigen", "svd"))
+def test_num_matrices_below_one_is_one_typed_error(runner, grid, engine,
+                                                   workers, num_matrices):
+    """Every runner, engine and worker count refuses an empty or
+    negative ensemble the same way (in-process runs used to raise a
+    bare ValueError or report an empty success)."""
+    with pytest.raises(SimulationError, match="num_matrices must be >= 1"):
+        runner(grid, num_matrices=num_matrices, engine=engine,
+               workers=workers)

@@ -23,6 +23,7 @@ from repro.analysis.events import TRANSPORT_STAGES, validate_lifecycles
 from repro.errors import SimulationError
 from repro.jacobi import make_symmetric_test_matrix
 from repro.service import JacobiService
+from repro.service.kinds import TRAFFIC_CLASSES
 from repro.service.transport import (
     SEGMENT_PREFIX,
     PickleTransport,
@@ -30,7 +31,6 @@ from repro.service.transport import (
     Transport,
     open_payload,
     resolve_transport,
-    result_fields,
     seal_result,
 )
 
@@ -90,7 +90,7 @@ class TestResolveTransport:
 
 class TestResultFields:
     def test_eigen_shapes(self):
-        fields = result_fields(_eigen_payload(num=5, m=8), "eigen")
+        fields = TRAFFIC_CLASSES["eigen"].layout(_eigen_payload(num=5, m=8))
         assert fields["eigenvalues"][0] == (5, 8)
         assert fields["eigenvectors"][0] == (5, 8, 8)
         assert fields["sweeps"][0] == (5,)
@@ -98,11 +98,11 @@ class TestResultFields:
 
     def test_eigen_no_vectors(self):
         payload = _eigen_payload(num=2, m=8, vectors=False)
-        fields = result_fields(payload, "eigen")
+        fields = TRAFFIC_CLASSES["eigen"].layout(payload)
         assert fields["eigenvectors"][0] == (2, 8, 0)
 
     def test_svd_shapes(self):
-        fields = result_fields(_svd_payload(num=4, n=6, m=3), "svd")
+        fields = TRAFFIC_CLASSES["svd"].layout(_svd_payload(num=4, n=6, m=3))
         assert fields["U"][0] == (4, 6, 3)
         assert fields["S"][0] == (4, 3)
         assert fields["Vt"][0] == (4, 3, 3)
