@@ -37,16 +37,26 @@ DEFAULT_SVD_SHAPES: Tuple[Tuple[int, int], ...] = (
 
 
 def parse_shapes(text: str) -> List[Tuple[int, int]]:
-    """Parse a ``"32x8,64x16"``-style CLI shape list."""
+    """Parse a ``"32x8,64x16"``-style CLI shape list.
+
+    Raises :class:`ValueError` for a malformed entry and for a shape the
+    one-sided SVD cannot solve (it needs ``n >= m >= 1``), before any
+    ensemble runs.
+    """
     shapes: List[Tuple[int, int]] = []
     for part in text.split(","):
         part = part.strip().lower()
         try:
             n_str, m_str = part.split("x")
-            shapes.append((int(n_str), int(m_str)))
+            n, m = int(n_str), int(m_str)
         except ValueError:
             raise ValueError(
                 f"bad shape {part!r}: expected NxM, e.g. 64x16") from None
+        if not n >= m >= 1:
+            raise ValueError(
+                f"bad shape {part!r}: expected NxM with N >= M >= 1 "
+                f"(tall or square), e.g. 64x16")
+        shapes.append((n, m))
     return shapes
 
 

@@ -10,23 +10,28 @@ on a leading batch dimension and executes one shared
 :class:`~repro.orderings.sweep.SweepSchedule` across the whole batch,
 turning thousands of tiny NumPy calls into a handful of large ones.
 
-Two backends implement the batch:
+Every backend stores the batch in one row layout: one row per column,
+``[iterate column (n) | transform column (m)]`` (``W = n + m``; ``W = n``
+without the transformation), built by :func:`_rows`.  Index rounds go
+through one row kernel, :func:`_rotate_rows`, which reduces over the
+iterate half ``[..., :n]`` and updates both halves with one set of
+ufunc calls.  The eigen engine (``n == m``) and the SVD engine
+(:mod:`repro.engine.svd`, ``n >= m``) share the two backends, and
+:func:`_make_backend` chooses between them for both:
 
-* ``_SplitBackend`` (balanced block distributions — every paper
-  configuration) stores the stationary and moving column blocks of all
-  nodes as two contiguous ``(B, V, b, W)`` planes *in transposed layout*:
-  each row is one column of the iterate followed by the matching column
-  of ``U`` (``W = 2m``; ``W = m`` without eigenvectors), so one set of
-  in-place ufunc calls through preallocated buffers rotates both.  The
+* ``_SplitBackend`` (an ordering over balanced block distributions —
+  every paper configuration) stores the stationary and moving column
+  blocks of all nodes as two contiguous ``(B, V, b, W)`` planes.  The
   moving plane is kept rolled by the round index, which makes a
-  cross-block pairing round a row-for-row rotation of the two planes
-  followed by one roll-by-one copy — no gather/scatter indexing at all —
-  and a block transition a pair of slice swaps.  This is what delivers
-  the engine's speedup: the sequential path spends most of its time in
-  fancy-indexed column gathers and scatters.
-* ``_IndexedBackend`` (uneven blocks) drives the same index rounds as
-  the sequential solver through the batched
-  :func:`~repro.jacobi.rotations.rotate_pairs`.
+  cross-block pairing round a row-for-row rotation of the two planes,
+  in place through preallocated buffers, followed by one roll-by-one
+  copy — no gather/scatter indexing at all — and a block transition a
+  pair of slice swaps.  This is what delivers the engine's speedup: the
+  sequential path spends most of its time in fancy-indexed column
+  gathers and scatters.
+* ``_IndexedBackend`` (uneven blocks, and the SVD engine's sequential
+  circle) keeps one canonical-order ``(B, 1, m, W)`` plane and drives
+  the sequential solver's own index rounds through the row kernel.
 
 Convergence is judged per matrix at sweep boundaries (exactly like the
 sequential loop); matrices that have converged stop rotating while the
@@ -43,25 +48,27 @@ is the *same arithmetic*:
 
 * the pairing rounds are the identical
   :func:`~repro.jacobi.blocks.cross_block_rounds` /
-  :func:`~repro.jacobi.blocks.round_robin_rounds` coverage, only
-  realised as rolls instead of index gathers;
-* every dot-product reduction runs over the unit-stride ``[..., :m]``
-  view of the iterate's columns, in the same order as the sequential
+  :func:`~repro.jacobi.blocks.round_robin_rounds` coverage — the
+  indexed backend consumes the sequential solver's very index rounds,
+  the split backend realises the cross rounds as rolls;
+* every dot-product reduction runs over the unit-stride ``[..., :n]``
+  view of a row's iterate half, in the same order as the sequential
   kernel's gathered operands (NumPy's einsum picks its inner kernel by
-  operand stride, so the transposed layout reproduces the sequential
+  operand stride, and a gathered ``A[:, idx]`` is itself a transposed
+  view of contiguous rows, so the row layout reproduces the sequential
   path's unit-stride reduction bit for bit — the equivalence tests pin
-  this);
+  this, and ``TestBatchedRotatePairs`` pins the row kernel itself);
 * the rotation updates are the same elementwise expressions
-  (``c*x - s*y`` / ``s*x + c*y``), evaluated in place on the ``A`` and
-  ``U`` halves at once, and the roll copies move bits unchanged;
+  (``c*x - s*y`` / ``s*x + c*y``), evaluated on the iterate and
+  transform halves at once, and the roll copies move bits unchanged;
 * convergence is judged per matrix by the very same
   :func:`~repro.jacobi.convergence.offdiag_measure` call on a C-ordered
   2-D slice.
 
 Consequently eigenvalues, eigenvectors, sweep counts, defect histories
 and rotation statistics match the sequential path bit for bit — the
-equivalence tests (``tests/test_engine_batched.py``) assert exactly
-that.
+equivalence tests (``tests/test_engine_batched.py`` and
+``tests/test_svd_differential.py``) assert exactly that.
 
 The engine reports no per-matrix communication trace: the simulated
 machine runs the batch in lockstep, so the communication story is the
@@ -90,7 +97,6 @@ from ..jacobi.convergence import (
 from ..jacobi.rotations import (
     DEFAULT_PAIR_TOL,
     RotationStats,
-    rotate_pairs,
     rotation_angles,
 )
 from ..orderings.base import JacobiOrdering
@@ -169,58 +175,131 @@ class BatchedResult:
 
 
 # ----------------------------------------------------------------------
-class _IndexedBackend:
-    """Generic batch backend: canonical column layout + index rounds.
+def _rows(A0: np.ndarray, with_transform: bool) -> np.ndarray:
+    """The ``(B, m, W)`` rows of a ``(B, n, m)`` stack: row ``j`` is
+    column ``j`` of the iterate followed by column ``j`` of the
+    accumulated transformation, which starts as the identity
+    (``W = n + m``; ``W = n`` without the transformation)."""
+    num, n, m = A0.shape
+    rows = np.empty((num, m, n + m if with_transform else n))
+    rows[:, :, :n] = np.transpose(A0, (0, 2, 1))
+    if with_transform:
+        rows[:, :, n:] = np.eye(m)
+    return rows
 
-    Consumes exactly the rounds of
-    :func:`~repro.jacobi.blocks.pairing_step_rounds` /
-    :func:`~repro.jacobi.blocks.intra_block_rounds` through the batched
-    :func:`~repro.jacobi.rotations.rotate_pairs`.  Handles every block
-    distribution, including uneven ones, and rectangular ``(B, n, m)``
-    iterates (the batched SVD engine drives tall iterates through the
-    very same rounds; the accumulated transformation is always the
-    ``m x m`` of the column space).
+
+def _row_angles(x: np.ndarray, y: np.ndarray, stats: RotationStats):
+    """Rotation angles of the row pairs ``(x[..., k, :], y[..., k, :])``
+    of two ``(B, V, k, n)`` iterate views, counted into ``stats``."""
+    a = np.einsum("bvkn,bvkn->bvk", x, x)
+    b = np.einsum("bvkn,bvkn->bvk", y, y)
+    g = np.einsum("bvkn,bvkn->bvk", x, y)
+    c, s, applied = rotation_angles(a, b, g, DEFAULT_PAIR_TOL)
+    stats.merge(RotationStats(pairs_seen=a.size,
+                              rotations_applied=int(applied.sum())))
+    return c, s, applied
+
+
+def _rotate_rows(plane: np.ndarray, li: np.ndarray, ri: np.ndarray,
+                 n: int, stats: RotationStats) -> None:
+    """Rotate row pairs ``(li[k], ri[k])`` within every chunk of a
+    ``(B, V, rows, W)`` plane, reducing over the iterate half
+    ``[..., :n]`` — the index rounds of every batch backend."""
+    if li.size == 0:
+        return
+    Ai = plane[:, :, li, :]
+    Aj = plane[:, :, ri, :]
+    c, s, applied = _row_angles(Ai[..., :n], Aj[..., :n], stats)
+    if not applied.any():
+        return
+    # In place on the gathered copies: c*x - s*y and c*y + s*x are the
+    # sequential kernel's expressions (IEEE products and sums commute).
+    cb = c[..., None]
+    sb = s[..., None]
+    sx = sb * Ai
+    Ai *= cb
+    Ai -= sb * Aj
+    Aj *= cb
+    Aj += sx
+    plane[:, :, li, :] = Ai
+    plane[:, :, ri, :] = Aj
+
+
+def _make_backend(A0: np.ndarray, d: Optional[int], with_transform: bool):
+    """The one backend choice of both engines: split planes for an
+    ordering over balanced blocks, otherwise one indexed row plane
+    (uneven blocks, or ``d=None`` for the sequential circle)."""
+    if d is not None and BlockDistribution(m=A0.shape[2], d=d).is_balanced:
+        return _SplitBackend(A0, d, with_transform)
+    return _IndexedBackend(A0, d, with_transform)
+
+
+class _IndexedBackend:
+    """Generic batch backend: one canonical-order row plane, index rounds.
+
+    Stores the batch as a single ``(B, 1, m, W)`` plane of
+    ``[iterate column | transform column]`` rows in canonical column
+    order and rotates it through :func:`_rotate_rows` with exactly the
+    sequential solvers' index rounds:
+
+    * with an ordering (``d`` given), the
+      :func:`~repro.jacobi.blocks.intra_block_rounds` and
+      :func:`~repro.jacobi.blocks.pairing_step_rounds` of
+      :class:`~repro.jacobi.parallel.ParallelOneSidedJacobi` and
+      :func:`~repro.jacobi.svd.parallel_svd` — every block distribution,
+      uneven ones included;
+    * with ``d=None``, the full circle
+      :func:`~repro.jacobi.blocks.round_robin_rounds` over all ``m``
+      columns of :func:`~repro.jacobi.svd.onesided_svd`.
     """
 
-    def __init__(self, A0: np.ndarray, d: int,
-                 compute_eigenvectors: bool) -> None:
-        num, m = A0.shape[0], A0.shape[2]
-        self.dist = BlockDistribution(m=m, d=d)
-        self.A = A0.copy()
-        if compute_eigenvectors:
-            self.U: Optional[np.ndarray] = np.broadcast_to(
-                np.eye(m), (num, m, m)).copy()
+    def __init__(self, A0: np.ndarray, d: Optional[int],
+                 with_transform: bool) -> None:
+        self.n, m = A0.shape[1], A0.shape[2]
+        self.plane = _rows(A0, with_transform)[:, None]
+        if d is None:
+            # The circle is the round robin of one block of all m columns.
+            self.dist = None
+            self._intra = round_robin_rounds(m)
         else:
-            self.U = None
-        self.layout = default_layout(d)
+            self.dist = BlockDistribution(m=m, d=d)
+            self._intra = intra_block_rounds(self.dist)
+            self.layout = default_layout(d)
 
-    def run_sweep(self, schedule: SweepSchedule,
+    def _rotate(self, rounds, stats: RotationStats) -> None:
+        for li, ri in rounds:
+            _rotate_rows(self.plane, li, ri, self.n, stats)
+
+    def run_sweep(self, schedule: Optional[SweepSchedule],
                   stats: RotationStats) -> None:
-        A, U, dist = self.A, self.U, self.dist
-        for ii, jj in intra_block_rounds(dist):
-            stats.merge(rotate_pairs(A, U, ii, jj))
+        self._rotate(self._intra, stats)
+        if self.dist is None:
+            return
         if schedule.d == 0:
-            for ii, jj in pairing_step_rounds(dist, self.layout):
-                stats.merge(rotate_pairs(A, U, ii, jj))
+            # Single node, two blocks: one pairing step, no transitions.
+            self._rotate(pairing_step_rounds(self.dist, self.layout), stats)
             return
         for t in schedule:
-            for ii, jj in pairing_step_rounds(dist, self.layout):
-                stats.merge(rotate_pairs(A, U, ii, jj))
+            self._rotate(pairing_step_rounds(self.dist, self.layout), stats)
             self.layout = apply_transition(self.layout, t.link, t.kind)
+
+    def _gather(self, plane: np.ndarray, cols: slice) -> np.ndarray:
+        return np.ascontiguousarray(
+            np.transpose(plane[:, 0, :, cols], (0, 2, 1)))
 
     def canonical(self) -> np.ndarray:
         """The iterate in canonical column order, C-contiguous per slice."""
-        return self.A
+        return self._gather(self.plane, slice(None, self.n))
 
     def extract_u(self, positions: np.ndarray) -> Optional[np.ndarray]:
         """Canonical accumulated transformations of given batch positions."""
-        return None if self.U is None else self.U[positions]
+        if self.plane.shape[3] == self.n:
+            return None
+        return self._gather(self.plane[positions], slice(self.n, None))
 
     def compact(self, keep: np.ndarray) -> None:
         """Shrink the batch to the matrices flagged in ``keep``."""
-        self.A = np.ascontiguousarray(self.A[keep])
-        if self.U is not None:
-            self.U = np.ascontiguousarray(self.U[keep])
+        self.plane = np.ascontiguousarray(self.plane[keep])
 
 
 class _SplitBackend:
@@ -228,11 +307,10 @@ class _SplitBackend:
 
     Stores the machine's stationary and moving blocks as two contiguous
     planes of shape ``(B, V, b, W)``.  Row ``plane[:, v, i]`` is column
-    ``i`` of the block resident at node ``v`` in that slot, stored as a
-    contiguous row (transposed layout) and followed by the matching
-    column of the accumulated transformation: ``[A column | U column]``,
-    so ``W = 2m`` (``W = m`` without eigenvectors) and one set of ufunc
-    calls rotates A and U together.  With every block the same size:
+    ``i`` of the block resident at node ``v`` in that slot, in the
+    shared ``[iterate column | transform column]`` row layout (see
+    :func:`_rows`), so one set of ufunc calls rotates both halves.  With
+    every block the same size:
 
     * a cross-block pairing round ``t`` pairs stationary column ``i``
       with moving column ``(i + t) % b``.  The moving plane is stored
@@ -241,34 +319,29 @@ class _SplitBackend:
       ``b`` rounds of a pairing step it is back in block order;
     * a transition moves whole half-planes between subcubes — two slice
       swaps;
-    * the intra-block round-robin rounds gather contiguous rows.
+    * the intra-block round-robin rounds go through :func:`_rotate_rows`
+      on each plane.
 
-    A round copies its cosines and sines once into plane-shaped buffers
-    shared by the A and U halves, so every update ufunc runs over
-    contiguous operands.  The dot products reduce over the ``[..., :m]``
-    view, whose unit-stride last axis makes NumPy's einsum use the same
-    inner kernel (same summation order) as the sequential solver's
-    gathered column pairs — the root of the engine's bit-for-bit
-    equivalence.
+    A cross round copies its cosines and sines once into plane-shaped
+    buffers shared by both halves, so every update ufunc runs over
+    contiguous operands.
     """
 
     def __init__(self, A0: np.ndarray, d: int,
-                 compute_eigenvectors: bool) -> None:
-        num, m = A0.shape[0], A0.shape[1]
+                 with_transform: bool) -> None:
+        num, n, m = A0.shape
         self.dist = BlockDistribution(m=m, d=d)
         if not self.dist.is_balanced:
             raise SimulationError("_SplitBackend requires balanced blocks")
-        self.num, self.m = num, m
+        self.n, self.m = n, m
         self.V = 1 << d
         self.b = m // self.dist.num_blocks
-        self.W = 2 * m if compute_eigenvectors else m
-        XT = np.empty((num, m, self.W))
-        XT[:, :, :m] = np.transpose(A0, (0, 2, 1))
-        if compute_eigenvectors:
-            XT[:, :, m:] = np.eye(m)
-        view = XT.reshape(num, self.V, 2, self.b, self.W)
+        rows = _rows(A0, with_transform)
+        self.W = rows.shape[2]
+        view = rows.reshape(num, self.V, 2, self.b, self.W)
         self.stat = np.ascontiguousarray(view[:, :, 0])
         self.mov = np.ascontiguousarray(view[:, :, 1])
+        self._intra = round_robin_rounds(self.b)
         self.layout = default_layout(d)
         self._alloc_buffers()
 
@@ -278,30 +351,6 @@ class _SplitBackend:
             np.empty(shape) for _ in range(4))
 
     # ------------------------------------------------------------------
-    def _rotate_chunk_rows(self, plane: np.ndarray, li: np.ndarray,
-                           ri: np.ndarray, stats: RotationStats) -> None:
-        """Rotate row pairs ``(li[k], ri[k])`` within every chunk of one
-        plane (the intra-block pairing rounds)."""
-        if li.size == 0:
-            return
-        m = self.m
-        Ai = plane[:, :, li, :]
-        Aj = plane[:, :, ri, :]
-        x, y = Ai[..., :m], Aj[..., :m]
-        a = np.einsum("bvkm,bvkm->bvk", x, x)
-        b_ = np.einsum("bvkm,bvkm->bvk", y, y)
-        g = np.einsum("bvkm,bvkm->bvk", x, y)
-        c, s, applied = rotation_angles(a, b_, g, DEFAULT_PAIR_TOL)
-        stats.merge(RotationStats(
-            pairs_seen=int(li.size) * self.V * self.num,
-            rotations_applied=int(applied.sum())))
-        if not applied.any():
-            return
-        cb = c[..., None]
-        sb = s[..., None]
-        plane[:, :, li, :] = cb * Ai - sb * Aj
-        plane[:, :, ri, :] = sb * Ai + cb * Aj
-
     def _cross_round(self, stats: RotationStats) -> None:
         """One round of a pairing step: stationary row ``i`` against
         moving row ``i`` at every node, which in round ``t`` holds moving
@@ -309,19 +358,11 @@ class _SplitBackend:
         :func:`~repro.jacobi.blocks.cross_block_rounds` coverage).
 
         In-place ``L' = c L - s R`` and ``R' = s L + c R`` — the same
-        elementwise expressions as
-        :func:`~repro.jacobi.rotations.rotate_pairs` — then ``R'`` is
+        elementwise expressions as :func:`_rotate_rows` — then ``R'`` is
         stored rolled by one row for the next round.
         """
-        L, R, m = self.stat, self.mov, self.m
-        x, y = L[..., :m], R[..., :m]
-        a = np.einsum("bvcm,bvcm->bvc", x, x)
-        b_ = np.einsum("bvcm,bvcm->bvc", y, y)
-        g = np.einsum("bvcm,bvcm->bvc", x, y)
-        c, s, applied = rotation_angles(a, b_, g, DEFAULT_PAIR_TOL)
-        stats.merge(RotationStats(
-            pairs_seen=self.V * self.b * self.num,
-            rotations_applied=int(applied.sum())))
+        L, R, n = self.stat, self.mov, self.n
+        c, s, applied = _row_angles(L[..., :n], R[..., :n], stats)
         if not applied.any():
             # Nothing rotates, but the moving plane still advances.
             self.mov = np.roll(R, -1, axis=2)
@@ -366,9 +407,9 @@ class _SplitBackend:
     # ------------------------------------------------------------------
     def run_sweep(self, schedule: SweepSchedule,
                   stats: RotationStats) -> None:
-        for li, ri in round_robin_rounds(self.b):
-            self._rotate_chunk_rows(self.stat, li, ri, stats)
-            self._rotate_chunk_rows(self.mov, li, ri, stats)
+        for li, ri in self._intra:
+            _rotate_rows(self.stat, li, ri, self.n, stats)
+            _rotate_rows(self.mov, li, ri, self.n, stats)
         if schedule.d == 0:
             for _ in range(self.b):
                 self._cross_round(stats)
@@ -380,8 +421,8 @@ class _SplitBackend:
 
     def _gather_canonical(self, stat: np.ndarray, mov: np.ndarray,
                           cols: slice) -> np.ndarray:
-        num, b, m = stat.shape[0], self.b, self.m
-        XT = np.empty((num, m, m))
+        b = self.b
+        XT = np.empty((stat.shape[0], self.m, len(range(self.W)[cols])))
         for v in range(self.V):
             for slot, plane in ((0, stat), (1, mov)):
                 blk = int(self.layout[v, slot])
@@ -391,31 +432,29 @@ class _SplitBackend:
     def canonical(self) -> np.ndarray:
         """The iterate in canonical column order, C-contiguous per slice."""
         return self._gather_canonical(self.stat, self.mov,
-                                      slice(None, self.m))
+                                      slice(None, self.n))
 
     def extract_u(self, positions: np.ndarray) -> Optional[np.ndarray]:
         """Canonical accumulated transformations of given batch positions."""
-        if self.W == self.m:
+        if self.W == self.n:
             return None
         # Gather only the requested matrices: extraction happens at every
         # sweep boundary where something converges, and usually for a
         # small fraction of the surviving batch.
         return self._gather_canonical(self.stat[positions],
                                       self.mov[positions],
-                                      slice(self.m, None))
+                                      slice(self.n, None))
 
     def compact(self, keep: np.ndarray) -> None:
         """Shrink the batch to the matrices flagged in ``keep``."""
         self.stat = np.ascontiguousarray(self.stat[keep])
         self.mov = np.ascontiguousarray(self.mov[keep])
-        self.num = self.stat.shape[0]
         self._alloc_buffers()
 
 
 # ----------------------------------------------------------------------
-def run_batched_sweeps(A0, make_backend, get_schedule, extract_transform,
-                       tol, max_sweeps, with_transform, stats,
-                       raise_on_no_convergence):
+def run_batched_sweeps(A0, ordering, cache, tol, max_sweeps,
+                       with_transform, stats, raise_on_no_convergence):
     """The shared per-matrix convergence/compaction driver of the
     batched engines (eigen and SVD).
 
@@ -432,15 +471,14 @@ def run_batched_sweeps(A0, make_backend, get_schedule, extract_transform,
     ----------
     A0:
         ``(B, n, m)`` stacked iterates (``n == m`` for the eigenpath).
-    make_backend:
-        ``(B', n, m) array -> backend`` with the ``run_sweep`` /
-        ``canonical`` / ``compact`` protocol.
-    get_schedule:
-        ``sweep_index -> schedule`` (``None`` for schedule-free
-        backends).
-    extract_transform:
-        ``(backend, positions) -> (len(positions), m, m) array or None``
-        — the accumulated transformations of the given batch positions.
+    ordering:
+        The :class:`~repro.orderings.base.JacobiOrdering` whose sweep
+        schedules the batch shares, or ``None`` for the sequential
+        round-robin circle over all ``m`` columns (the SVD engine's
+        default mode).
+    cache:
+        :class:`~repro.engine.cache.ScheduleCache` the schedules come
+        from.
     tol, max_sweeps:
         Per-matrix convergence tolerance and sweep budget.
     with_transform:
@@ -461,6 +499,9 @@ def run_batched_sweeps(A0, make_backend, get_schedule, extract_transform,
         convergence flags and defect histories.
     """
     num, m = A0.shape[0], A0.shape[2]
+    d = None if ordering is None else ordering.d
+    if d is not None:
+        BlockDistribution(m=m, d=d)  # validates the size
     sweeps = np.zeros(num, dtype=np.int64)
     converged = np.ones(num, dtype=bool)
     off_history: List[List[float]] = [[] for _ in range(num)]
@@ -477,10 +518,12 @@ def run_batched_sweeps(A0, make_backend, get_schedule, extract_transform,
         final_A[k] = A0[k]
         if final_T is not None:
             final_T[k] = np.eye(m)
-    backend = make_backend(A0[alive]) if alive.size else None
+    backend = (_make_backend(A0[alive], d, with_transform) if alive.size
+               else None)
     sweep_index = 0
     while alive.size and sweep_index < max_sweeps:
-        schedule = get_schedule(sweep_index)
+        schedule = (None if ordering is None
+                    else cache.get_schedule(ordering, sweep=sweep_index))
         backend.run_sweep(schedule, stats)
         sweep_index += 1
         Acan = backend.canonical()
@@ -494,7 +537,7 @@ def run_batched_sweeps(A0, make_backend, get_schedule, extract_transform,
         if done.any() or out_of_budget:
             take = (np.arange(alive.size) if out_of_budget
                     else np.flatnonzero(done))
-            Tcan = extract_transform(backend, take)
+            Tcan = backend.extract_u(take)
             for idx, pos in enumerate(take):
                 k = int(alive[pos])
                 final_A[k] = Acan[pos]
@@ -580,19 +623,11 @@ class BatchedOneSidedJacobi:
                 raise SimulationError(
                     f"one-sided Jacobi requires symmetric matrices "
                     f"(batch item {k} is not)")
-        d = self.ordering.d
-        dist = BlockDistribution(m=m, d=d)
-        backend_cls = _SplitBackend if dist.is_balanced else _IndexedBackend
         stats = RotationStats()
         final_A, final_U, sweeps, converged, off_history = \
-            run_batched_sweeps(
-                A0,
-                lambda stack: backend_cls(stack, d, compute_eigenvectors),
-                lambda sweep: self.cache.get_schedule(self.ordering,
-                                                      sweep=sweep),
-                lambda backend, take: backend.extract_u(take),
-                self.tol, self.max_sweeps, compute_eigenvectors, stats,
-                raise_on_no_convergence)
+            run_batched_sweeps(A0, self.ordering, self.cache, self.tol,
+                               self.max_sweeps, compute_eigenvectors,
+                               stats, raise_on_no_convergence)
         lam = np.empty((num, m))
         if final_U is None:
             for k in range(num):

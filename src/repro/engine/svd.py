@@ -3,34 +3,33 @@
 The one-sided method is natively an SVD algorithm (the BR ordering
 descends from Gao & Thomas's parallel Jacobi SVD, paper ref [7]), and
 everything that made the eigenpath batchable applies verbatim: the
-rotation kernels are vectorised over disjoint column pairs *and* over a
-leading batch axis, the pairing rounds are shared by every matrix of an
-ensemble, and convergence is judged per matrix at sweep boundaries.
+pairing rounds are shared by every matrix of an ensemble, and
+convergence is judged per matrix at sweep boundaries.
 :class:`BatchedOneSidedSVD` stacks a list of same-shape tall (or square)
-matrices on a leading batch dimension and runs them all through one
-shared sweep schedule.
+matrices on a leading batch dimension and runs them all through the
+eigen engine's :func:`~repro.engine.batched.run_batched_sweeps` and its
+backends.  Those store rows ``[A column (n) | V column (m)]`` and reduce
+over the ``n``-long iterate half, so a rectangular iterate needs no
+backend of its own.  The ``ordering`` picks the sequential twin:
 
-Two modes, two sequential twins:
-
-* ``ordering=None`` (default) replays the *sequential* reference
-  :func:`~repro.jacobi.svd.onesided_svd` — the full round-robin pairing
-  rounds of :func:`~repro.jacobi.blocks.round_robin_rounds` over all
-  ``m`` columns per sweep — through the batched
-  :func:`~repro.jacobi.rotations.rotate_pairs`.  This is the service's
+* ``ordering=None`` (default) replays
+  :func:`~repro.jacobi.svd.onesided_svd` — the full round-robin circle
+  of :func:`~repro.jacobi.blocks.round_robin_rounds` over all ``m``
+  columns per sweep — on the indexed backend.  This is the service's
   SVD traffic path.
 * ``ordering=<JacobiOrdering>`` replays the *simulated-machine*
   :func:`~repro.jacobi.svd.parallel_svd`: the intra-block and
   cross-block pairing rounds of the ordering's sweep schedule (pulled
-  from the shared :class:`~repro.engine.cache.ScheduleCache`), reusing
-  the eigen engine's :class:`~repro.engine.batched._IndexedBackend`
-  with a rectangular iterate.
+  from the shared :class:`~repro.engine.cache.ScheduleCache`), on split
+  planes for balanced blocks and on the indexed backend otherwise — the
+  same choice as the eigen engine's.
 
 Bit-identical by construction
 -----------------------------
 Both modes are the *same arithmetic* as their per-matrix twin: identical
-pairing rounds, identical batched-kernel reductions and elementwise
-updates (pinned by the eigen engine's equivalence tests), identical
-per-matrix convergence checks at sweep boundaries, and a thin-SVD
+pairing rounds, identical row-kernel reductions and elementwise updates
+(pinned by the eigen engine's equivalence tests), identical per-matrix
+convergence checks at sweep boundaries, and a thin-SVD
 extraction vectorised across the batch whose every step (column norms,
 descending argsort, gathers, divides) is elementwise-equal to
 :func:`repro.jacobi.svd._extract_svd`.  Consequently ``U``, ``S``,
@@ -58,13 +57,11 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from ..errors import ConvergenceError, SimulationError
-from ..jacobi.blocks import BlockDistribution, round_robin_rounds
 from ..jacobi.convergence import DEFAULT_TOL
-from ..jacobi.rotations import RotationStats, rotate_pairs
+from ..jacobi.rotations import RotationStats
 from ..jacobi.svd import _complete_left_vectors
 from ..orderings.base import JacobiOrdering
-from ..orderings.sweep import SweepSchedule
-from .batched import _IndexedBackend, run_batched_sweeps
+from .batched import run_batched_sweeps
 from .cache import GLOBAL_SCHEDULE_CACHE, ScheduleCache
 
 __all__ = ["BatchedSvdResult", "BatchedOneSidedSVD", "stack_rect_matrices"]
@@ -147,55 +144,6 @@ class BatchedSvdResult:
 
 
 # ----------------------------------------------------------------------
-class _RoundRobinBackend:
-    """Replays :func:`~repro.jacobi.svd.onesided_svd`'s sweeps batched.
-
-    One sweep is the full circle-method round-robin over all ``m``
-    columns — exactly the rounds the sequential reference walks — with
-    every round executed as one batched
-    :func:`~repro.jacobi.rotations.rotate_pairs` call over the whole
-    surviving batch.
-    """
-
-    def __init__(self, A0: np.ndarray) -> None:
-        num, m = A0.shape[0], A0.shape[2]
-        self.A = A0.copy()
-        self.V = np.broadcast_to(np.eye(m), (num, m, m)).copy()
-        self._rounds = round_robin_rounds(m)
-
-    def run_sweep(self, schedule: Optional[SweepSchedule],
-                  stats: RotationStats) -> None:
-        for left, right in self._rounds:
-            stats.merge(rotate_pairs(self.A, self.V, left, right))
-
-    def canonical(self) -> np.ndarray:
-        """The iterate in canonical column order, C-contiguous per slice."""
-        return self.A
-
-    def extract_v(self, positions: np.ndarray) -> np.ndarray:
-        """Accumulated right transformations of given batch positions."""
-        return self.V[positions]
-
-    def compact(self, keep: np.ndarray) -> None:
-        """Shrink the batch to the matrices flagged in ``keep``."""
-        self.A = np.ascontiguousarray(self.A[keep])
-        self.V = np.ascontiguousarray(self.V[keep])
-
-
-class _OrderingBackend(_IndexedBackend):
-    """Replays :func:`~repro.jacobi.svd.parallel_svd`'s sweeps batched:
-    the eigen engine's indexed backend driving a rectangular iterate,
-    with the accumulated transformation read as ``V``."""
-
-    def __init__(self, A0: np.ndarray, d: int) -> None:
-        super().__init__(A0, d, compute_eigenvectors=True)
-
-    def extract_v(self, positions: np.ndarray) -> np.ndarray:
-        """Accumulated right transformations of given batch positions."""
-        return self.extract_u(positions)
-
-
-# ----------------------------------------------------------------------
 class BatchedOneSidedSVD:
     """One-sided Jacobi SVD over a stack of matrices, one shared schedule.
 
@@ -244,11 +192,6 @@ class BatchedOneSidedSVD:
         self.cache = cache if cache is not None else GLOBAL_SCHEDULE_CACHE
         self.fill_seed = int(fill_seed)
 
-    def _make_backend(self, A0: np.ndarray):
-        if self.ordering is None:
-            return _RoundRobinBackend(A0)
-        return _OrderingBackend(A0, self.ordering.d)
-
     def solve(self, matrices: Union[np.ndarray, Sequence[np.ndarray]],
               raise_on_no_convergence: bool = True) -> BatchedSvdResult:
         """Thin-SVD a batch of tall (or square) matrices.
@@ -262,19 +205,11 @@ class BatchedOneSidedSVD:
             Raise if any matrix fails to converge within the budget.
         """
         A0 = stack_rect_matrices(matrices)
-        m = A0.shape[2]
-        if self.ordering is not None:
-            BlockDistribution(m=m, d=self.ordering.d)  # validates size
         stats = RotationStats()
-        get_schedule = ((lambda sweep: None) if self.ordering is None
-                        else (lambda sweep: self.cache.get_schedule(
-                            self.ordering, sweep=sweep)))
         final_A, final_V, sweeps, converged, off_history = \
-            run_batched_sweeps(
-                A0, self._make_backend, get_schedule,
-                lambda backend, take: backend.extract_v(take),
-                self.tol, self.max_sweeps, True, stats,
-                raise_on_no_convergence)
+            run_batched_sweeps(A0, self.ordering, self.cache, self.tol,
+                               self.max_sweeps, True, stats,
+                               raise_on_no_convergence)
         U, S, Vt = self._extract_batch(final_A, final_V)
         return BatchedSvdResult(U=U, S=S, Vt=Vt, sweeps=sweeps,
                                 converged=converged,

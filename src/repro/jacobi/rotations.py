@@ -24,13 +24,13 @@ step rotates ``2**d * b`` pairs at once; :func:`rotate_pairs` performs any
 number of disjoint rotations in a handful of NumPy calls, exactly the
 vectorise-don't-loop idiom of the HPC guides.
 
-The kernels also accept a **leading batch axis**: a ``(B, m, n)`` iterate
-rotates the same column pairs of ``B`` independent matrices in one call
-(the :mod:`repro.engine` batched solver's workhorse).  Per-element
-arithmetic is identical to the 2-D path — the batched reductions contract
-over the same axis with the same strides — so batched results are
-bit-for-bit equal to solving each matrix alone, a property the
-equivalence tests assert.
+:func:`rotate_pairs` serves the sequential solvers, one ``(n, m)``
+iterate at a time.  The :mod:`repro.engine` batch backends store a whole
+batch as rows ``[iterate column | transform column]`` and rotate them
+with their own row kernel; a row's iterate half reduces over the same
+unit stride as a gathered column here, and the updates are the same
+elementwise expressions, so a batch evolves bit for bit as its matrices
+would alone — a property the equivalence tests assert.
 """
 
 from __future__ import annotations
@@ -127,13 +127,10 @@ def rotate_pairs(A: np.ndarray, U: Optional[np.ndarray],
     Parameters
     ----------
     A:
-        ``(m, n)`` iterate matrix — or a ``(B, m, n)`` stack of ``B``
-        iterates rotated through the same column pairs — modified in
-        place.
+        ``(n, m)`` iterate matrix, modified in place.
     U:
-        Optional accumulated transformation of the same shape as ``A``,
-        same rotations applied (pass ``None`` to skip eigenvector
-        accumulation).
+        Optional ``(m, m)`` accumulated transformation, same rotations
+        applied (pass ``None`` to skip eigenvector accumulation).
     idx_i, idx_j:
         Integer arrays of equal length: the column pairs.
     pair_tol:
@@ -145,9 +142,19 @@ def rotate_pairs(A: np.ndarray, U: Optional[np.ndarray],
     Returns
     -------
     RotationStats
-        Pairs seen and rotations actually applied (in batched mode,
-        summed over the batch).
+        Pairs seen and rotations actually applied.
+
+    Raises
+    ------
+    SimulationError
+        ``A`` is not 2-D (a stack's ``A[:, idx]`` would gather the wrong
+        axis), the index arrays are not 1-D of equal length, or — with
+        ``check_disjoint`` — a column appears twice.
     """
+    if A.ndim != 2:
+        raise SimulationError(
+            f"rotate_pairs rotates the columns of one (n, m) iterate, "
+            f"got shape {A.shape}")
     idx_i = np.asarray(idx_i, dtype=np.intp)
     idx_j = np.asarray(idx_j, dtype=np.intp)
     if idx_i.shape != idx_j.shape or idx_i.ndim != 1:
@@ -159,8 +166,6 @@ def rotate_pairs(A: np.ndarray, U: Optional[np.ndarray],
         if np.unique(allidx).size != allidx.size:
             raise SimulationError(
                 "rotate_pairs requires disjoint column pairs")
-    if A.ndim == 3:
-        return _rotate_pairs_batch(A, U, idx_i, idx_j, pair_tol)
     Ai = A[:, idx_i]
     Aj = A[:, idx_j]
     a = np.einsum("ij,ij->j", Ai, Ai)
@@ -179,34 +184,3 @@ def rotate_pairs(A: np.ndarray, U: Optional[np.ndarray],
     return RotationStats(pairs_seen=idx_i.size,
                          rotations_applied=int(applied.sum()))
 
-
-def _rotate_pairs_batch(A: np.ndarray, U: Optional[np.ndarray],
-                        idx_i: np.ndarray, idx_j: np.ndarray,
-                        pair_tol: float) -> RotationStats:
-    """Batched body of :func:`rotate_pairs` for a ``(B, m, n)`` iterate.
-
-    The per-pair reductions contract over the row axis with the same
-    strides as the 2-D path, and the column updates are the same
-    elementwise expressions, so every matrix of the batch evolves
-    bit-for-bit as it would solved alone.
-    """
-    pairs_seen = idx_i.size * A.shape[0]
-    Ai = A[:, :, idx_i]
-    Aj = A[:, :, idx_j]
-    a = np.einsum("bij,bij->bj", Ai, Ai)
-    b = np.einsum("bij,bij->bj", Aj, Aj)
-    g = np.einsum("bij,bij->bj", Ai, Aj)
-    c, s, applied = rotation_angles(a, b, g, pair_tol)
-    if not applied.any():
-        return RotationStats(pairs_seen=pairs_seen, rotations_applied=0)
-    cb = c[:, None, :]
-    sb = s[:, None, :]
-    A[:, :, idx_i] = cb * Ai - sb * Aj
-    A[:, :, idx_j] = sb * Ai + cb * Aj
-    if U is not None:
-        Ui = U[:, :, idx_i]
-        Uj = U[:, :, idx_j]
-        U[:, :, idx_i] = cb * Ui - sb * Uj
-        U[:, :, idx_j] = sb * Ui + cb * Uj
-    return RotationStats(pairs_seen=pairs_seen,
-                         rotations_applied=int(applied.sum()))

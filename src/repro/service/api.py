@@ -131,9 +131,11 @@ class ServiceStats:
     The admission fields expose saturation (see
     :mod:`repro.service.admission`):
 
-    * ``rejected`` — submissions turned away with
-      :class:`~repro.errors.QueueFull` (immediately, or after a
-      ``"block"`` wait timed out);
+    * ``rejected`` — submissions turned away at the admission bound:
+      with :class:`~repro.errors.QueueFull` (immediately, or after a
+      ``"block"`` wait timed out), or with
+      :class:`~repro.errors.SimulationError` when
+      :meth:`~JacobiService.close` ended a ``"block"`` wait;
     * ``shed`` — queued items whose per-request deadline lapsed before
       their flush (futures resolved with
       :class:`~repro.errors.ShedError`);
@@ -475,7 +477,9 @@ class JacobiService:
         SimulationError
             The matrix is invalid for its kind: complex, not numeric,
             non-finite, not symmetric (eigen), wide (SVD) or too small
-            for the cube.
+            for the cube — or the service is closed, including by a
+            :meth:`close` that ends a ``"block"`` wait (counted as
+            ``rejected``).
         QueueFull
             The service is at its ``max_queue`` bound and the
             admission policy rejected the submission (immediately
@@ -520,10 +524,11 @@ class JacobiService:
                         if remaining <= 0:
                             break
                         self._cond.wait(remaining)
-                    if self._closed:
-                        raise SimulationError("service is closed")
+                    # close() during the wait gives up like a timeout:
+                    # a rejection on the ledger, raised as closed below.
                     decision = AdmissionDecision(
-                        "admit" if self._inflight < self._gate.max_queue
+                        "admit" if (not self._closed and self._inflight
+                                    < self._gate.max_queue)
                         else "reject")
                 if decision.action == "reject":
                     # A rejected submission is still a submission: the
@@ -543,7 +548,10 @@ class JacobiService:
                             tenant=tenant,
                             meta={"used": self._inflight,
                                   "max_queue": self._gate.max_queue,
-                                  "policy": self._gate.policy})
+                                  "policy": self._gate.policy,
+                                  "closed": self._closed})
+                    if self._closed:
+                        raise SimulationError("service is closed")
                     raise QueueFull(
                         f"service queue full: {self._inflight} items "
                         f"queued or in flight at max_queue="

@@ -77,9 +77,19 @@ class TestCommands:
         assert sweeps_cols(baseline) == sweeps_cols(sharded)
         assert "workers: 2" in sharded
 
-    def test_svd_bench_rejects_bad_shapes(self):
-        with pytest.raises(ValueError, match="NxM"):
-            main(["svd-bench", "--shapes", "16by8"])
+    def test_svd_bench_rejects_bad_shapes(self, monkeypatch):
+        # Malformed shapes and shapes the one-sided SVD cannot solve
+        # (wide, empty, negative) are all refused before the first
+        # ensemble is solved.
+        import repro.analysis.svdbench as svdbench
+
+        def never(*args, **kwargs):
+            raise AssertionError("an ensemble ran before the shape check")
+
+        monkeypatch.setattr(svdbench, "run_svd_ensemble", never)
+        for shapes in ("16by8", "8x32", "0x0", "-4x2", "64x32,8x32"):
+            with pytest.raises(ValueError, match="NxM"):
+                main(["svd-bench", f"--shapes={shapes}"])
 
     def test_load_bench_small(self, capsys, tmp_path):
         report = tmp_path / "load-bench.json"

@@ -21,7 +21,8 @@ from repro.engine import (
 )
 from repro.errors import ConvergenceError, SimulationError
 from repro.jacobi import ParallelOneSidedJacobi, make_symmetric_test_matrix
-from repro.jacobi.rotations import rotate_pairs
+from repro.engine.batched import _rotate_rows
+from repro.jacobi.rotations import RotationStats, rotate_pairs
 from repro.orderings import get_ordering
 
 ALL_ORDERINGS = ("br", "permuted-br", "degree4", "min-alpha",
@@ -88,8 +89,12 @@ class TestBitIdentical:
         _assert_bit_identical(_batch(8, 4), get_ordering("br", 0))
 
     def test_uneven_blocks_fallback(self):
-        # m=33 over 8 blocks: unbalanced sizes take the indexed backend
-        _assert_bit_identical(_batch(33, 4), get_ordering("br", 2))
+        # unbalanced sizes (m=33 over 8 blocks, ...) take the indexed
+        # backend, whose rows are W = m wide without eigenvectors
+        for m, d in ((10, 1), (33, 2), (37, 3)):
+            for vectors in (True, False):
+                _assert_bit_identical(_batch(m, 4), get_ordering("br", d),
+                                      compute_eigenvectors=vectors)
 
     def test_batch_of_one(self):
         _assert_bit_identical(_batch(16, 1), get_ordering("degree4", 2))
@@ -237,7 +242,8 @@ class TestNonFinite:
 
 
 class TestBatchedRotatePairs:
-    """The batched (B, m, n) path of the rotation kernel itself."""
+    """The row kernel every batch backend rotates through, against the
+    sequential :func:`~repro.jacobi.rotations.rotate_pairs`."""
 
     def test_batched_rotation_matches_per_matrix(self):
         rng = np.random.default_rng(3)
@@ -245,8 +251,13 @@ class TestBatchedRotatePairs:
         U = rng.standard_normal((4, 12, 12))
         ii = np.array([0, 2, 4])
         jj = np.array([1, 3, 5])
-        A2, U2 = A.copy(), U.copy()
-        stats_b = rotate_pairs(A2, U2, ii, jj)
+        # One (B, 1, m, W) plane of [A column | U column] rows.
+        plane = np.concatenate([np.transpose(A, (0, 2, 1)),
+                                np.transpose(U, (0, 2, 1))], axis=2)[:, None]
+        stats_b = RotationStats()
+        _rotate_rows(plane, ii, jj, 12, stats_b)
+        A2 = np.transpose(plane[:, 0, :, :12], (0, 2, 1))
+        U2 = np.transpose(plane[:, 0, :, 12:], (0, 2, 1))
         seen = applied = 0
         for k in range(4):
             Ak, Uk = A[k].copy(), U[k].copy()

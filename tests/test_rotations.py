@@ -106,6 +106,16 @@ class TestRotatePairs:
         with pytest.raises(SimulationError):
             rotate_pairs(A, None, np.array([0]), np.array([1, 2]))
 
+    @pytest.mark.parametrize("shape", [(2, 6, 4), (6,)])
+    def test_rejects_non_2d_iterate(self, rng, shape):
+        # A stack's A[:, idx] would gather rows, not columns: refuse it
+        # rather than rotate the wrong axis.
+        A = rng.normal(size=shape)
+        before = A.copy()
+        with pytest.raises(SimulationError, match="got shape"):
+            rotate_pairs(A, None, np.array([0]), np.array([1]))
+        assert np.array_equal(A, before)
+
     def test_stats_merge(self):
         from repro.jacobi import RotationStats
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from testkit import FakeClock, HangingExecutor, make_matrices as _mats
 
+from repro.analysis.events import validate_lifecycles
 from repro.errors import AdmissionError, QueueFull, ShedError, SimulationError
 from repro.jacobi import ParallelOneSidedJacobi
 from repro.orderings import get_ordering
@@ -25,6 +26,7 @@ from repro.service import (
     AdmissionGate,
     JacobiService,
     MicroBatcher,
+    Tracer,
 )
 
 
@@ -236,6 +238,46 @@ class TestBlockPolicy:
             assert time.monotonic() - t0 >= 0.1  # actually waited
             assert svc.stats().rejected == 1
             svc.flush()
+
+    def test_close_during_wait_is_a_rejection(self):
+        """close() ends a blocked submit the way a timeout would: a
+        rejection on the ledger and in the trace, raised as closed."""
+        blocked = threading.Event()
+
+        class SignallingTracer(Tracer):
+            def emit(self, stage, **fields):
+                super().emit(stage, **fields)
+                if stage == "submit" and fields.get("request") == 1:
+                    blocked.set()
+
+        svc = JacobiService(d=1, max_batch=100, max_delay=60.0,
+                            max_queue=1, admission="block",
+                            admission_timeout=30.0,
+                            tracer=SignallingTracer())
+        first = svc.submit(_mats(8, 1)[0])
+        errors = []
+
+        def second():
+            try:
+                svc.submit(_mats(8, 1, seed=1)[0])
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        waiter = threading.Thread(target=second)
+        waiter.start()
+        # The submit event is emitted under the service lock, which the
+        # waiter only releases inside its wait: close() lands mid-wait.
+        assert blocked.wait(30.0)
+        svc.close()
+        waiter.join(30.0)
+        assert len(errors) == 1
+        assert isinstance(errors[0], SimulationError)
+        assert "closed" in str(errors[0])
+        assert first.result(timeout=30.0).converged
+        st = svc.stats()
+        assert (st.submitted, st.completed, st.rejected) == (2, 1, 1)
+        assert st.accounted == st.submitted
+        assert validate_lifecycles(svc.trace()) == {}
 
 
 class TestShedPolicy:

@@ -21,6 +21,8 @@ matrix, independent of batch layout) gets its own regression class.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -147,21 +149,26 @@ class TestBatchedBitIdentity:
         self._assert_bit_identical(mats, res, seqs)
 
     def test_ordering_mode_matches_parallel_svd(self, ordering_name):
-        ordering = get_ordering(ordering_name, 2)
-        rng = np.random.default_rng(31)
-        mats = [rng.normal(size=(24, 16)) for _ in range(4)]
-        res = BatchedOneSidedSVD(ordering, tol=TOL).solve(mats)
-        seqs = [parallel_svd(A, ordering, tol=TOL) for A in mats]
-        self._assert_bit_identical(mats, res, seqs)
+        # balanced blocks over d = 1..3: the tall shape runs rectangular
+        # split planes, the square one the eigen engine's layout
+        for d in (1, 2, 3):
+            ordering = get_ordering(ordering_name, d)
+            for shape in ((24, 16), (16, 16)):
+                rng = np.random.default_rng(31)
+                mats = [rng.normal(size=shape) for _ in range(4)]
+                res = BatchedOneSidedSVD(ordering, tol=TOL).solve(mats)
+                seqs = [parallel_svd(A, ordering, tol=TOL) for A in mats]
+                self._assert_bit_identical(mats, res, seqs)
 
     def test_ordering_mode_uneven_blocks(self):
-        # m=17 over 8 blocks exercises the unbalanced index rounds
-        ordering = get_ordering("br", 2)
-        rng = np.random.default_rng(32)
-        mats = [rng.normal(size=(20, 17)) for _ in range(3)]
-        res = BatchedOneSidedSVD(ordering, tol=TOL).solve(mats)
-        seqs = [parallel_svd(A, ordering, tol=TOL) for A in mats]
-        self._assert_bit_identical(mats, res, seqs)
+        # m=17 over 4 or 8 blocks exercises the unbalanced index rounds
+        for d in (1, 2):
+            ordering = get_ordering("br", d)
+            rng = np.random.default_rng(32)
+            mats = [rng.normal(size=(20, 17)) for _ in range(3)]
+            res = BatchedOneSidedSVD(ordering, tol=TOL).solve(mats)
+            seqs = [parallel_svd(A, ordering, tol=TOL) for A in mats]
+            self._assert_bit_identical(mats, res, seqs)
 
     def test_no_convergence_is_flagged_not_raised(self):
         rng = np.random.default_rng(33)
@@ -182,20 +189,25 @@ class TestBatchedBitIdentity:
         rng = np.random.default_rng(35)
         mats = [rng.normal(size=(16, 12)) for _ in range(3)]
         mats[1][2, 3] = np.nan
-        engine = BatchedOneSidedSVD(tol=TOL, max_sweeps=20)
-        with pytest.raises(ConvergenceError):
-            onesided_svd(mats[1], tol=TOL, max_sweeps=20)
-        with pytest.raises(ConvergenceError):
-            engine.solve(mats)
-        res = engine.solve(mats, raise_on_no_convergence=False)
-        ref = onesided_svd(mats[1], tol=TOL, max_sweeps=20,
-                           raise_on_no_convergence=False)
-        assert not ref.converged and not res.converged[1]
-        assert res.sweeps[1] == ref.sweeps == 20
-        for k in (0, 2):
-            s = onesided_svd(mats[k], tol=TOL, max_sweeps=20)
-            assert res.converged[k] and res.sweeps[k] == s.sweeps
-            assert np.array_equal(res.S[k], s.S)
+        br = get_ordering("br", 1)
+        # the circle, and ordering mode on split planes (12 columns over
+        # 4 balanced blocks)
+        for ordering, solve in ((None, onesided_svd),
+                                (br, partial(parallel_svd, ordering=br))):
+            engine = BatchedOneSidedSVD(ordering, tol=TOL, max_sweeps=20)
+            with pytest.raises(ConvergenceError):
+                solve(mats[1], tol=TOL, max_sweeps=20)
+            with pytest.raises(ConvergenceError):
+                engine.solve(mats)
+            res = engine.solve(mats, raise_on_no_convergence=False)
+            ref = solve(mats[1], tol=TOL, max_sweeps=20,
+                        raise_on_no_convergence=False)
+            assert not ref.converged and not res.converged[1]
+            assert res.sweeps[1] == ref.sweeps == 20
+            for k in (0, 2):
+                s = solve(mats[k], tol=TOL, max_sweeps=20)
+                assert res.converged[k] and res.sweeps[k] == s.sweeps
+                assert np.array_equal(res.S[k], s.S)
 
     def test_count_sweeps_matches_sequential(self):
         rng = np.random.default_rng(34)
