@@ -3,9 +3,10 @@
 
 Instead of handing a whole ensemble to a solver, submit matrices *as
 they arrive* to a :class:`repro.service.JacobiService`.  The service
-micro-batches them by ``(m, ordering)`` — flushing whenever a batch
-fills up (size) or its oldest matrix has waited too long (deadline) —
-and runs every flush through the batched engine, optionally sharded
+micro-batches them by ``(m, ordering)`` — flushing whenever a solver
+is free (idle), a batch fills up (size) or, while every solver is busy,
+its oldest matrix has waited too long (deadline) — and runs every
+flush through the batched engine, optionally sharded
 across worker processes.  Per-matrix results stay bit-identical to the
 sequential solver: batching and sharding are throughput knobs only.
 
@@ -36,7 +37,8 @@ def main() -> None:
     parser.add_argument("--max-batch", type=int, default=8,
                         help="matrices per micro-batch (size flush)")
     parser.add_argument("--max-delay", type=float, default=0.02,
-                        help="seconds a matrix may wait (deadline flush)")
+                        help="seconds a matrix may wait while every "
+                             "solver is busy (deadline flush)")
     parser.add_argument("--workers", type=int, default=0,
                         help="worker processes (0 = in-process)")
     parser.add_argument("--seed", type=int, default=0)
@@ -59,9 +61,7 @@ def main() -> None:
           f"{t_stream:.3f}s "
           f"({stats.throughput:,.1f} solves/s once flowing)")
     print(f"  micro-batches: {stats.batches} "
-          f"(size: {stats.flushes['size']}, "
-          f"deadline: {stats.flushes['deadline']}, "
-          f"forced: {stats.flushes['forced']}); "
+          f"({', '.join(f'{c}: {n}' for c, n in stats.flushes.items())}); "
           f"mean batch size {stats.mean_batch_size:.1f}")
     print(f"  workers: {stats.workers or 'in-process'}, "
           f"failed: {stats.failed}, queue drained to "

@@ -36,7 +36,8 @@ def main() -> None:
     parser.add_argument("--max-batch", type=int, default=8,
                         help="matrices per micro-batch (size flush)")
     parser.add_argument("--max-delay", type=float, default=0.02,
-                        help="seconds a matrix may wait (deadline flush)")
+                        help="seconds a matrix may wait while every "
+                             "solver is busy (deadline flush)")
     parser.add_argument("--workers", type=int, default=0,
                         help="worker processes (0 = in-process)")
     parser.add_argument("--seed", type=int, default=0)
@@ -64,9 +65,7 @@ def main() -> None:
           f"({stats.throughput:,.1f} solves/s once flowing)")
     print(f"  submissions by kind: {stats.submitted_by_kind}; "
           f"micro-batches: {stats.batches} "
-          f"(size: {stats.flushes['size']}, "
-          f"deadline: {stats.flushes['deadline']}, "
-          f"forced: {stats.flushes['forced']})")
+          f"({', '.join(f'{c}: {n}' for c, n in stats.flushes.items())})")
 
     # --- same answers as the sequential SVD, bit for bit --------------
     sample = list(range(0, args.count, max(1, args.count // 4)))

@@ -31,7 +31,7 @@ Package layout
 * :mod:`repro.engine` — the batched multi-matrix eigensolver engine,
   schedule cache, and Monte-Carlo ensemble runner.
 * :mod:`repro.service` — the sharded streaming solve service: worker
-  process fan-out, size/deadline micro-batching, and the
+  process fan-out, work-conserving micro-batching, and the
   :class:`JacobiService` submit/future facade.
 * :mod:`repro.simulator` — in-process message passing, communication
   traces, the packetised pipelined executor.

@@ -66,9 +66,8 @@ TRACE_SCHEMA = "repro-trace/v1"
 #: must carry non-decreasing ranks (several stages share a rank when
 #: either may legitimately come first).  Stages outside this map —
 #: batch-level ``"flush"`` and the :data:`TRANSPORT_STAGES`, gate-level
-#: ``"overload"``, controller-level ``"retuned"``, and the simulator's
-#: record kinds — are not request lifecycle stages and are ignored by
-#: :func:`validate_lifecycles`.
+#: ``"overload"``, and the simulator's record kinds — are not request
+#: lifecycle stages and are ignored by :func:`validate_lifecycles`.
 REQUEST_STAGES: Dict[str, int] = {
     "submit": 0,
     "admitted": 1,
@@ -114,8 +113,7 @@ class TraceEvent:
     stage:
         What happened — a :data:`REQUEST_STAGES` lifecycle edge, a
         batch-level ``"flush"`` or :data:`TRANSPORT_STAGES` edge, a
-        gate ``"overload"``, a controller ``"retuned"``, or a
-        simulator record kind.
+        gate ``"overload"``, or a simulator record kind.
     request:
         The request id the event belongs to (``None`` for events not
         tied to one request, e.g. batch-level flushes).

@@ -1,4 +1,4 @@
-"""Load-generator harness: fixed vs adaptive batching under live load.
+"""Load-generator harness: the solve service under live load.
 
 The service benchmarks elsewhere in the repo measure *closed* loops —
 hand the engine an ensemble, time the run.  This module measures the
@@ -14,12 +14,12 @@ coordinated omission to the service, not the generator.
 Six traffic shapes are bundled, chosen to pull the batching and QoS
 knobs in opposite directions:
 
-* ``trickle`` — sparse arrivals; batches never fill, so a fixed
-  ``max_delay`` is pure added latency;
+* ``trickle`` — sparse arrivals; batches never fill, so every flush is
+  an idle release and ``max_delay`` never binds;
 * ``bursty`` — arrival spikes above the small-batch solve capacity, so
-  a fixed ``max_batch`` caps throughput;
-* ``bimodal`` — the matrix shape flips between regimes, exercising
-  per-key tuning;
+  a small ``max_batch`` caps throughput;
+* ``bimodal`` — the matrix shape flips between regimes, so two batch
+  keys alternate;
 * ``mixed`` — interleaved eigen and SVD submissions, exercising both
   traffic classes at once;
 * ``overload`` — sustained arrivals *above* solve capacity, exercising
@@ -29,14 +29,13 @@ knobs in opposite directions:
   per-tenant quotas and priorities rather than the batching knobs.
 
 :func:`compute_load_bench` replays every scenario against each fixed
-setting and against the adaptive controller (same seeded matrices, same
-trace), reporting post-warm-up p50/p99 latency and overall throughput —
-this is what ``repro-jacobi load-bench`` renders and what CI uploads as
-an artifact.  Percentiles exclude a leading warm-up fraction of the
-trace (default 20%): the adaptive service *starts* at its fixed
-configuration and needs a few tuning windows to converge, and steady
-state is what the latency comparison is about.  Throughput is measured
-over the whole run, warm-up included.
+setting (same seeded matrices, same trace), reporting post-warm-up
+p50/p99 latency and overall throughput — this is what
+``repro-jacobi load-bench`` renders and what CI uploads as an
+artifact.  Percentiles exclude a leading warm-up fraction of the trace
+(default 20%), so first-call costs (schedule builds, thread start-up)
+stay out of the steady-state comparison.  Throughput is measured over
+the whole run, warm-up included.
 
 The ``overload`` scenario runs a different settings grid
 (:data:`OVERLOAD_SETTINGS`): an uncontended stretched replay of the
@@ -65,12 +64,8 @@ import numpy as np
 from ..errors import QueueFull, QuotaExceeded, ShedError, SimulationError
 from ..jacobi.convergence import DEFAULT_TOL
 from ..jacobi.onesided import make_symmetric_test_matrix
-from ..service import (
-    AsyncGateway,
-    GatewayConfig,
-    JacobiService,
-    TuningBounds,
-)
+from ..service import AsyncGateway, GatewayConfig, JacobiService
+from ..service.batcher import FLUSH_CAUSES
 from .events import EventTimeline
 from .report import render_table
 
@@ -80,8 +75,6 @@ __all__ = [
     "SCENARIOS",
     "FixedSetting",
     "FIXED_SETTINGS",
-    "ADAPTIVE_START",
-    "ADAPTIVE_BOUNDS",
     "AdmissionSetting",
     "OVERLOAD_SETTINGS",
     "TENANTS_NOISY",
@@ -161,7 +154,7 @@ class Scenario:
 
 def _trickle(items: int, rng: np.random.Generator) -> List[Arrival]:
     """Sparse eigen arrivals: exponential gaps (mean 30 ms) longer than
-    any sensible deadline, so batches never fill."""
+    a solve, so batches never fill."""
     t, out = 0.0, []
     for _ in range(items):
         t += float(rng.exponential(0.03))
@@ -183,8 +176,7 @@ def _bursty(items: int, rng: np.random.Generator) -> List[Arrival]:
 
 def _bimodal(items: int, rng: np.random.Generator) -> List[Arrival]:
     """Shape regimes: blocks of 10 arrivals alternate between small
-    (8x8) and large (24x24) eigen matrices — two keys, each needing its
-    own tuning."""
+    (8x8) and large (24x24) eigen matrices — two batch keys."""
     t, out = 0.0, []
     for k in range(items):
         t += float(rng.exponential(0.008))
@@ -263,14 +255,14 @@ def _tenants(items: int, rng: np.random.Generator) -> List[Arrival]:
 #: The bundled scenarios, in report order.
 SCENARIOS: Tuple[Scenario, ...] = (
     Scenario("trickle",
-             "sparse arrivals; fixed max_delay is pure added latency",
+             "sparse arrivals; batches never fill",
              40, _trickle),
     Scenario("bursty",
              "32-wide spikes above small-batch capacity; fixed "
              "max_batch caps throughput",
              160, _bursty),
     Scenario("bimodal",
-             "matrix shape flips between regimes; per-key tuning",
+             "matrix shape flips between regimes; two batch keys",
              60, _bimodal),
     Scenario("mixed",
              "interleaved eigen and SVD traffic classes",
@@ -303,24 +295,13 @@ class FixedSetting:
     max_delay: float
 
 
-#: Fixed baselines every scenario is replayed against: a
+#: Fixed settings every scenario is replayed against: a
 #: throughput-tuned setting (large batches, long deadline) and a
-#: latency-tuned one (small batches, short deadline).  Each is the
-#: wrong constant for at least one scenario — that is the point.
+#: latency-tuned one (small batches, short deadline).
 FIXED_SETTINGS: Tuple[FixedSetting, ...] = (
     FixedSetting("fixed b=16 d=50ms", 16, 0.05),
     FixedSetting("fixed b=2 d=2ms", 2, 0.002),
 )
-
-#: Where the adaptive run starts (a deliberate middle ground).
-ADAPTIVE_START = FixedSetting("adaptive b=4 d=20ms", 4, 0.02)
-
-#: The envelope the adaptive run may tune within.
-ADAPTIVE_BOUNDS = TuningBounds(min_batch=1, max_batch=64,
-                               min_delay=0.0005, max_delay=0.05)
-
-#: Tuning window of the adaptive replays (small: the traces are short).
-ADAPTIVE_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -385,15 +366,7 @@ class LoadResult:
     flushes:
         Released micro-batches by cause.
     mean_batch_size:
-        Submitted items per flush.
-    retunes:
-        Applied tuning decisions (0 for fixed settings).
-    final_limits:
-        Per-key ``(max_batch, max_delay)`` overrides at the end of the
-        replay (empty for fixed settings).
-    tuning:
-        The applied tuning trace as plain dicts (``t`` is seconds into
-        the replay), JSON-ready; empty for fixed settings.
+        Flushed items per flush.
     solved, rejected, shed:
         Per-item outcomes: futures resolving to a result / submissions
         refused with :class:`~repro.errors.QueueFull` / futures
@@ -429,9 +402,6 @@ class LoadResult:
     throughput: float
     flushes: Dict[str, int]
     mean_batch_size: float
-    retunes: int
-    final_limits: Dict[str, Tuple[int, float]] = field(default_factory=dict)
-    tuning: List[Dict[str, Any]] = field(default_factory=list)
     solved: int = 0
     rejected: int = 0
     shed: int = 0
@@ -498,9 +468,6 @@ def build_matrices(arrivals: Sequence[Arrival],
 
 def replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
            *, scenario: str, label: str, max_batch: int, max_delay: float,
-           adaptive: bool = False,
-           tuning_bounds: Optional[TuningBounds] = None,
-           tuning_window: int = ADAPTIVE_WINDOW,
            max_queue: int = 0, admission: str = "reject",
            default_deadline: Optional[float] = None,
            warmup_frac: float = 0.2, d: int = 2,
@@ -516,14 +483,7 @@ def replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
     scenario, label:
         Report tags carried into the :class:`LoadResult`.
     max_batch, max_delay:
-        The service's (initial) batching limits.
-    adaptive:
-        Let the service tune its own limits during the replay.
-    tuning_bounds:
-        Envelope for the adaptive controller (defaults to
-        :data:`ADAPTIVE_BOUNDS` when ``adaptive``).
-    tuning_window:
-        Hysteresis window of the adaptive controller.
+        The service's batching limits.
     max_queue:
         The service's admission bound (0 = unbounded, the default —
         exactly the pre-admission replay).
@@ -561,14 +521,12 @@ def replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
     -------
     LoadResult
         Post-warm-up p50/p99 latency over *solved* items, overall
-        throughput, flush counters, per-item outcome counts, the
-        sampled backlog trace and the tuning outcome.
+        throughput, flush counters, per-item outcome counts and the
+        sampled backlog trace.
     """
     result, _ = _replay(
         arrivals, matrices, scenario=scenario, label=label,
-        max_batch=max_batch, max_delay=max_delay, adaptive=adaptive,
-        tuning_bounds=tuning_bounds, tuning_window=tuning_window,
-        max_queue=max_queue, admission=admission,
+        max_batch=max_batch, max_delay=max_delay, max_queue=max_queue, admission=admission,
         default_deadline=default_deadline, warmup_frac=warmup_frac,
         d=d, tol=tol, timeout=timeout, transport=transport,
         trace=False, tracer=tracer)
@@ -578,9 +536,6 @@ def replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
 def replay_traced(arrivals: Sequence[Arrival],
                   matrices: Sequence[np.ndarray], *, scenario: str,
                   label: str, max_batch: int, max_delay: float,
-                  adaptive: bool = False,
-                  tuning_bounds: Optional[TuningBounds] = None,
-                  tuning_window: int = ADAPTIVE_WINDOW,
                   max_queue: int = 0, admission: str = "reject",
                   default_deadline: Optional[float] = None,
                   warmup_frac: float = 0.2, d: int = 2,
@@ -595,9 +550,7 @@ def replay_traced(arrivals: Sequence[Arrival],
     """
     result, timeline = _replay(
         arrivals, matrices, scenario=scenario, label=label,
-        max_batch=max_batch, max_delay=max_delay, adaptive=adaptive,
-        tuning_bounds=tuning_bounds, tuning_window=tuning_window,
-        max_queue=max_queue, admission=admission,
+        max_batch=max_batch, max_delay=max_delay, max_queue=max_queue, admission=admission,
         default_deadline=default_deadline, warmup_frac=warmup_frac,
         d=d, tol=tol, timeout=timeout, transport=transport, trace=True)
     assert timeline is not None
@@ -606,10 +559,7 @@ def replay_traced(arrivals: Sequence[Arrival],
 
 def _replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
             *, scenario: str, label: str, max_batch: int,
-            max_delay: float, adaptive: bool = False,
-            tuning_bounds: Optional[TuningBounds] = None,
-            tuning_window: int = ADAPTIVE_WINDOW,
-            max_queue: int = 0, admission: str = "reject",
+            max_delay: float, max_queue: int = 0, admission: str = "reject",
             default_deadline: Optional[float] = None,
             warmup_frac: float = 0.2, d: int = 2,
             tol: float = DEFAULT_TOL, timeout: float = 120.0,
@@ -641,15 +591,10 @@ def _replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
     def _mark(i: int) -> Callable[[Any], None]:
         return lambda _fut: _done(i)
 
-    bounds = (tuning_bounds if tuning_bounds is not None
-              else ADAPTIVE_BOUNDS) if adaptive else None
     backlog: List[int] = []
     rejected = 0
     with JacobiService(d=d, tol=tol, max_batch=max_batch,
-                       max_delay=max_delay, adaptive=adaptive,
-                       tuning_bounds=bounds,
-                       tuning_window=tuning_window,
-                       max_queue=max_queue, admission=admission,
+                       max_delay=max_delay, max_queue=max_queue, admission=admission,
                        default_deadline=default_deadline,
                        transport=transport,
                        trace=trace, tracer=tracer) as svc:
@@ -708,13 +653,6 @@ def _replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
         throughput=(len(solved_idx) / makespan if makespan > 0 else 0.0),
         flushes=dict(stats.flushes),
         mean_batch_size=stats.mean_batch_size,
-        retunes=len(stats.tuning),
-        final_limits={repr(k): v for k, v in stats.limits.items()},
-        tuning=[{"t": round(ev.time - t0, 4), "key": repr(ev.key),
-                 "batch": [ev.batch_from, ev.batch_to],
-                 "delay": [ev.delay_from, ev.delay_to],
-                 "reason": ev.reason}
-                for ev in stats.tuning],
         solved=len(solved_idx), rejected=rejected, shed=shed,
         peak_backlog=max(backlog) if backlog else 0,
         backlog=backlog[::step], outcomes=outcomes), timeline
@@ -724,9 +662,9 @@ def _replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
 #: carry — everything needed to re-run the replay from its own record
 #: (:func:`replay_recorded`); keys left unset fall back to the
 #: :func:`replay` defaults, which are the same both times.
-_SETTING_KEYS = ("max_batch", "max_delay", "adaptive", "tuning_window",
-                 "max_queue", "admission", "default_deadline",
-                 "warmup_frac", "d", "tol", "transport")
+_SETTING_KEYS = ("max_batch", "max_delay", "max_queue", "admission",
+                 "default_deadline", "warmup_frac", "d", "tol",
+                 "transport")
 
 
 def _run_setting(arrivals: Sequence[Arrival],
@@ -785,9 +723,8 @@ def compute_load_bench(scenario_names: Optional[Sequence[str]] = None,
     Returns
     -------
     list of LoadResult
-        Scenario-major, settings in :data:`FIXED_SETTINGS` order with
-        the adaptive run last — what
-        :func:`render_load_bench` tabulates.  The ``overload``
+        Scenario-major, settings in :data:`FIXED_SETTINGS` order —
+        what :func:`render_load_bench` tabulates.  The ``overload``
         scenario instead contributes an uncontended stretched replay
         followed by the :data:`OVERLOAD_SETTINGS` grid.
     """
@@ -824,12 +761,6 @@ def compute_load_bench(scenario_names: Optional[Sequence[str]] = None,
                 max_batch=setting.max_batch,
                 max_delay=setting.max_delay, warmup_frac=warmup_frac,
                 transport=transport))
-        results.append(_run_setting(
-            arrivals, matrices, scenario=scenario.name,
-            label=ADAPTIVE_START.label, trace_sink=trace_sink,
-            max_batch=ADAPTIVE_START.max_batch,
-            max_delay=ADAPTIVE_START.max_delay, adaptive=True,
-            warmup_frac=warmup_frac, transport=transport))
     return results
 
 
@@ -970,7 +901,6 @@ def _replay_tenants_row(arrivals: Sequence[Arrival],
         throughput=(solved / makespan if makespan > 0 else 0.0),
         flushes=dict(stats.flushes),
         mean_batch_size=stats.mean_batch_size,
-        retunes=len(stats.tuning),
         solved=solved,
         rejected=outcomes.count("rejected")
         + outcomes.count("throttled"),
@@ -1025,15 +955,13 @@ def render_load_bench(rows: Sequence[LoadResult]) -> str:
              f"{r.solved}/{r.rejected}/{r.shed}",
              f"{r.p50_ms:,.1f}", f"{r.p99_ms:,.1f}",
              f"{r.throughput:,.1f}",
-             f"{r.flushes.get('size', 0)}/{r.flushes.get('deadline', 0)}"
-             f"/{r.flushes.get('forced', 0)}",
-             f"{r.mean_batch_size:.1f}", r.peak_backlog, r.retunes]
+             "/".join(str(r.flushes.get(c, 0)) for c in FLUSH_CAUSES),
+             f"{r.mean_batch_size:.1f}", r.peak_backlog]
             for r in rows]
     return render_table(
         ["scenario", "setting", "items", "ok/rej/shed", "p50 ms",
-         "p99 ms", "solves/s", "flushes s/d/f", "mean b", "peak q",
-         "retunes"],
-        body, title="Micro-batching under live load: fixed vs adaptive")
+         "p99 ms", "solves/s", "flushes s/d/i/f", "mean b", "peak q"],
+        body, title="Micro-batching under live load")
 
 
 def render_tenant_bench(rows: Sequence[LoadResult]) -> str:
@@ -1096,7 +1024,6 @@ def results_to_json(rows: Sequence[LoadResult], *, seed: int,
         "warmup_frac": warmup_frac,
         "transport": transport,
         "fixed_settings": [asdict(s) for s in FIXED_SETTINGS],
-        "adaptive_start": asdict(ADAPTIVE_START),
         "overload_settings": [asdict(s) for s in OVERLOAD_SETTINGS],
         "results": [asdict(r) for r in rows],
     }, indent=2)

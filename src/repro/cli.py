@@ -398,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     sb.set_defaults(func=_cmd_svd_bench)
 
     lb = sub.add_parser("load-bench",
-                        help="open-loop load scenarios: fixed vs "
-                             "adaptive micro-batching, admission "
+                        help="open-loop load scenarios: fixed "
+                             "micro-batching settings, admission "
                              "control under overload, and multi-tenant "
                              "QoS under a noisy neighbour")
     lb.add_argument("--scenarios", default=None,
@@ -412,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--seed", type=int, default=0)
     lb.add_argument("--warmup", type=float, default=0.2,
                     help="leading fraction of each trace excluded from "
-                         "the latency percentiles (adaptive runs start "
-                         "untuned)")
+                         "the latency percentiles")
     lb.add_argument("--transport", choices=("pickle", "shm"),
                     default=None,
                     help="batch data plane for every replayed service: "

@@ -19,12 +19,8 @@ usable alone:
   :func:`solve_batch_remote` is the one worker entry of service
   flushes.
 * :mod:`repro.service.batcher` — :class:`MicroBatcher` groups streaming
-  submissions by key and flushes micro-batches by size or deadline,
-  with per-key limit overrides.
-* :mod:`repro.service.adaptive` — :class:`AdaptiveController` retunes a
-  key's ``max_batch``/``max_delay`` from observed flush causes, queue
-  depths, waits and solve latencies, within caller-set
-  :class:`TuningBounds`, through a pluggable hysteresis policy.
+  submissions by key and releases micro-batches by size, deadline,
+  idle solver or drain.
 * :mod:`repro.service.admission` — :class:`AdmissionGate` bounds the
   service backlog: a ``max_queue`` limit over queued plus in-flight
   items, enforced at submit time under one of three overload policies
@@ -45,9 +41,11 @@ usable alone:
   two traffic classes: ``submit(A) -> Future[SolveResult]`` for
   symmetric eigenproblems and ``submit(A, kind="svd") ->
   Future[SvdResult]`` for tall/square thin SVDs, with separate eigen/SVD
-  micro-batches, ``solve_many``, queue/throughput stats per kind,
-  ``adaptive=True`` self-tuning batching, and bounded admission
-  (``max_queue`` / ``admission`` / ``default_deadline``).
+  micro-batches, work-conserving dispatch (a free solver slot takes
+  the oldest queued group at once; ``max_delay`` bounds the wait only
+  while every slot is busy), ``solve_many``, queue/throughput stats per
+  kind, and bounded admission (``max_queue`` / ``admission`` /
+  ``default_deadline``).
 * :mod:`repro.service.tenancy` / :mod:`repro.service.gateway` — the
   multi-tenant control plane: :class:`AsyncGateway` fronts one shared
   service for many tenants with per-tenant :class:`TokenBucket`
@@ -65,13 +63,6 @@ throughput knob, never an accuracy trade.
 """
 
 from ..errors import AdmissionError, QueueFull, QuotaExceeded, ShedError
-from .adaptive import (
-    AdaptiveController,
-    HysteresisPolicy,
-    Observation,
-    TuningBounds,
-    TuningEvent,
-)
 from .admission import ADMISSION_POLICIES, AdmissionDecision, AdmissionGate
 from .api import KINDS, JacobiService, ServiceStats, SolveResult, SvdResult
 from .batcher import FlushEvent, MicroBatcher
@@ -133,11 +124,6 @@ __all__ = [
     "GatewayConfig",
     "ResolvedTenantConfig",
     "TokenBucket",
-    "AdaptiveController",
-    "HysteresisPolicy",
-    "Observation",
-    "TuningBounds",
-    "TuningEvent",
     "DEFAULT_TRACE_CAPACITY",
     "NULL_TRACER",
     "NullTracer",

@@ -41,6 +41,7 @@ by any ``max_queue``/policy choice.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -90,12 +91,13 @@ class AdmissionGate:
         arriving at capacity (see the module docstring).
     block_timeout:
         Seconds a ``"block"``-policy submission may wait for capacity
-        before it is rejected (must be > 0).
+        before it is rejected (finite and > 0).
     default_deadline:
         Default per-request deadline in seconds for the ``"shed"``
         policy — every submission without an explicit ``deadline``
-        expires this long after it is queued.  ``None`` (default) means
-        items only expire when the caller passed a deadline.
+        expires this long after it is queued (> 0; ``inf`` never
+        expires).  ``None`` (default) means items only expire when the
+        caller passed a deadline.
     clock:
         Monotonic time source (injectable for tests).
     tracer:
@@ -122,15 +124,13 @@ class AdmissionGate:
                 f"unknown admission policy {policy!r}; known: "
                 f"{ADMISSION_POLICIES}")
         self.block_timeout = float(block_timeout)
-        if self.block_timeout <= 0:
+        if not (math.isfinite(self.block_timeout)
+                and self.block_timeout > 0):
             raise SimulationError(
-                f"block_timeout must be > 0, got {block_timeout}")
-        self.default_deadline = (None if default_deadline is None
-                                 else float(default_deadline))
-        if (self.default_deadline is not None
-                and self.default_deadline <= 0):
-            raise SimulationError(
-                f"default_deadline must be > 0, got {default_deadline}")
+                f"block_timeout must be finite and > 0, got "
+                f"{block_timeout}")
+        self.default_deadline = _check_deadline("default_deadline",
+                                                default_deadline)
         self._clock = clock
         self._tracer = resolve_tracer(tracer)
 
@@ -173,6 +173,41 @@ class AdmissionGate:
             return AdmissionDecision("shed")
         return AdmissionDecision("reject")
 
+    def ttl(self, deadline: Optional[float] = None) -> Optional[float]:
+        """Validated seconds-to-live of one submission, or ``None``.
+
+        Parameters
+        ----------
+        deadline:
+            The caller's per-request deadline in seconds from now
+            (> 0; ``inf`` never expires).  ``None`` falls back to
+            ``default_deadline``; when both are set the *tighter*
+            (smaller) of the two wins — a per-request override can only
+            shorten the gate-wide deadline, never extend an item's life
+            past the service's shed policy.
+
+        Returns
+        -------
+        float or None
+            Seconds the item may stay queued, or ``None`` when it never
+            expires.
+
+        Raises
+        ------
+        SimulationError
+            ``deadline`` is NaN or not positive.  The service calls
+            this before it records or queues anything, so a bad
+            deadline leaves no trace event and moves no counter.
+        """
+        deadline = _check_deadline("deadline", deadline)
+        if deadline is None:
+            deadline = self.default_deadline
+        elif self.default_deadline is not None:
+            deadline = min(deadline, self.default_deadline)
+        if deadline is None or math.isinf(deadline):
+            return None
+        return deadline
+
     def expiry(self, deadline: Optional[float] = None,
                now: Optional[float] = None) -> Optional[float]:
         """Absolute expiry for one submission, or ``None``.
@@ -180,11 +215,7 @@ class AdmissionGate:
         Parameters
         ----------
         deadline:
-            The caller's per-request deadline in seconds from now.
-            ``None`` falls back to ``default_deadline``; when both are
-            set the *tighter* (smaller) of the two wins — a per-request
-            override can only shorten the gate-wide deadline, never
-            extend an item's life past the service's shed policy.
+            The caller's per-request deadline, as for :meth:`ttl`.
         now:
             Clock override (defaults to the injected clock).
 
@@ -195,16 +226,21 @@ class AdmissionGate:
             :meth:`~repro.service.batcher.MicroBatcher.pop_expired`
             sheds by), or ``None`` when the item never expires.
         """
-        if deadline is not None:
-            deadline = float(deadline)
-            if deadline <= 0:
-                raise SimulationError(
-                    f"deadline must be > 0 seconds, got {deadline}")
-            if self.default_deadline is not None:
-                deadline = min(deadline, self.default_deadline)
-        else:
-            deadline = self.default_deadline
-        if deadline is None:
+        ttl = self.ttl(deadline)
+        if ttl is None:
             return None
         now = self._clock() if now is None else now
-        return now + deadline
+        return now + ttl
+
+
+def _check_deadline(name: str, value: Optional[float]
+                    ) -> Optional[float]:
+    """``value`` as a float deadline: ``None`` passes through, NaN and
+    non-positive values raise, ``inf`` means never expires."""
+    if value is None:
+        return None
+    value = float(value)
+    if not value > 0:
+        raise SimulationError(
+            f"{name} must be > 0 seconds (inf = never), got {value}")
+    return value

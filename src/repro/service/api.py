@@ -22,12 +22,17 @@ Behind the facade,
 * a :class:`~repro.service.batcher.MicroBatcher` groups submissions by
   the kind-tagged keys their class's admission returns —
   ``("eigen", m, ordering, d)`` / ``("svd", n, m)`` — so eigen and SVD
-  micro-batches flush separately, each by size or deadline;
+  micro-batches flush separately;
 * every flush is exactly one batched-engine call through the one
   worker entry :func:`~repro.service.pool.solve_batch_remote` — run
   inline by the dispatcher thread, or fanned out to a
   :class:`~repro.service.pool.ShardedExecutor` worker pool when the
   service was built with ``workers >= 2``;
+* dispatch is work-conserving: whenever a solver slot is free and no
+  group is full or past ``max_delay``, the dispatcher releases the
+  oldest group at once (an ``"idle"`` flush), so ``max_delay`` only
+  bounds the wait while every slot is busy and batches form from what
+  arrives during a solve;
 * per-matrix results are bit-identical to the sequential twin of their
   kind (the engines' contract), so batching and sharding are pure
   throughput knobs.
@@ -90,7 +95,6 @@ from ..errors import QueueFull, ShedError, SimulationError
 from ..jacobi.convergence import DEFAULT_TOL
 from ..jacobi.svd import SvdResult
 from ..orderings.base import get_ordering
-from .adaptive import AdaptiveController, TuningBounds, TuningEvent
 from .admission import AdmissionDecision, AdmissionGate
 from .batcher import FLUSH_CAUSES, FlushEvent, MicroBatcher
 from .kinds import KINDS, TRAFFIC_CLASSES, SolveResult
@@ -119,14 +123,20 @@ class ServiceStats:
     batch is being solved but the futures have not resolved) — an
     item counts toward exactly one of the two, and admission counts
     both against ``max_queue``;
-    ``flushes`` counts released micro-batches by cause (``size`` /
-    ``deadline`` / ``forced``) and ``batches`` is their sum;
+    ``flushes`` counts released micro-batches by cause — ``size`` (a
+    full ``max_batch``), ``deadline`` (``max_delay`` ran out while every
+    solver slot was busy), ``idle`` (released at once to a free slot) and
+    ``forced`` (:meth:`~JacobiService.flush` / :meth:`~JacobiService.close`)
+    — and ``batches`` is their sum;
     ``submitted_by_kind`` splits the submission counter per traffic
-    class (``eigen`` / ``svd``); ``mean_batch_size`` is submitted items
+    class (``eigen`` / ``svd``); ``mean_batch_size`` is flushed items
     per flush; ``workers`` echoes the service's worker count;
     ``elapsed`` is seconds since the first submission and
     ``throughput`` completed solves per second over it (0.0 before any
-    work completes).
+    work completes); ``solve_latency_by_kind`` is the mean wall-clock
+    seconds per flushed batch solve, per traffic class (0.0 before any
+    flush of that kind completes), measured inside the solve call
+    itself.
 
     The admission fields expose saturation (see
     :mod:`repro.service.admission`):
@@ -143,20 +153,6 @@ class ServiceStats:
     * ``saturation`` — occupancy ratio ``(queue_depth + inflight) /
       queue_limit`` (0.0 when unbounded): 1.0 means the next submit
       hits the overload policy.
-
-    The adaptive fields expose the tuning loop:
-
-    * ``adaptive`` — whether the service tunes its own batching;
-    * ``limits`` — the per-key ``(max_batch, max_delay)`` overrides
-      currently applied to the batcher (empty until the controller
-      retunes something);
-    * ``tuning`` — the applied
-      :class:`~repro.service.adaptive.TuningEvent` trace, oldest
-      first (always empty when ``adaptive`` is false);
-    * ``solve_latency_by_kind`` — mean wall-clock seconds per flushed
-      batch solve, per traffic class (0.0 before any flush of that
-      kind completes), measured inside the solve call itself — the
-      per-kind latency feedback the controller consumes.
 
     The transport fields expose the batch data plane (see
     :mod:`repro.service.transport`):
@@ -196,9 +192,6 @@ class ServiceStats:
     workers: int
     elapsed: float
     throughput: float
-    adaptive: bool
-    limits: Dict[Any, Tuple[int, float]]
-    tuning: Tuple[TuningEvent, ...]
     solve_latency_by_kind: Dict[str, float]
     transport: str
     transport_counters: Dict[str, int]
@@ -241,8 +234,11 @@ class JacobiService:
         both traffic classes).
     max_batch, max_delay:
         Micro-batching knobs (see
-        :class:`~repro.service.batcher.MicroBatcher`).  With
-        ``adaptive=True`` these are only the *starting* values.
+        :class:`~repro.service.batcher.MicroBatcher`).  ``max_batch``
+        caps every flush.  Dispatch is work-conserving: while a solver
+        slot is free, the oldest queued group is released at once, so
+        ``max_delay`` (finite, >= 0) only bounds how long a group
+        waits while every slot is busy.
     max_queue:
         Service-wide admission bound, counting queued **and**
         in-flight items (``0`` = unbounded, the default).  When the
@@ -256,36 +252,20 @@ class JacobiService:
         queued items to make room, else reject).  See
         :mod:`repro.service.admission`.
     admission_timeout:
-        Seconds a ``"block"``-policy submission may wait for capacity.
+        Seconds a ``"block"``-policy submission may wait for capacity
+        (finite, > 0).
     default_deadline:
-        Default per-request deadline in seconds: a queued item older
-        than its deadline is shed (future resolves with
-        :class:`~repro.errors.ShedError`) instead of occupying a
-        batch.  ``None`` (default) means only submissions with an
-        explicit ``deadline`` expire.
+        Default per-request deadline in seconds (> 0; ``inf`` never
+        expires): a queued item older than its deadline is shed
+        (future resolves with :class:`~repro.errors.ShedError`)
+        instead of occupying a batch.  ``None`` (default) means only
+        submissions with an explicit ``deadline`` expire.
     workers:
-        ``0``/``1`` solves flushes on the dispatcher thread; ``>= 2``
-        fans them out to that many worker processes.
-    adaptive:
-        Let the service retune ``max_batch``/``max_delay`` per traffic
-        key from its own flush/latency observations (see
-        :class:`~repro.service.adaptive.AdaptiveController`):
-        deadline-dominated keys shrink their delay, size-saturated keys
-        grow their batch, within ``tuning_bounds``.  ``False``
-        (default) keeps the fixed limits — behaviour is then exactly
-        that of a service built without the adaptive machinery.
-    tuning_bounds:
-        :class:`~repro.service.adaptive.TuningBounds` envelope for the
-        controller.  Defaults to ``[1, 8 * max_batch]`` for the batch
-        and ``[max_delay / 32, max_delay]`` for the delay, so by
-        default adaptation can only *lower* latency and *raise*
-        throughput relative to the starting point.
-    tuning_policy:
-        Pluggable tuning policy (defaults to
-        :class:`~repro.service.adaptive.HysteresisPolicy`).
-    tuning_window:
-        Flushes per key between policy evaluations (the hysteresis
-        width; default 8).
+        ``0``/``1`` solves flushes on the dispatcher thread, which is
+        then the service's one solver slot (free whenever it is not
+        solving); ``>= 2`` fans them out to that many worker processes,
+        one slot per worker, so a worker that finishes a flush takes
+        the oldest queued group at once.
     compute_eigenvectors:
         Accumulate eigenvectors for eigen traffic (disable for
         sweep-count-only traffic; results then carry eigenvalue
@@ -294,8 +274,12 @@ class JacobiService:
         always carries its full (U, S, Vt) factors.
     executor:
         Optionally share a pre-built
-        :class:`~repro.service.pool.ShardedExecutor`; it is then not
-        shut down by :meth:`close`.
+        :class:`~repro.service.pool.ShardedExecutor` (or any pool with
+        its ``submit``, ``shutdown``, ``uses_processes`` and
+        ``workers``); it is then not shut down by :meth:`close`.  Its
+        ``workers`` count is the number of solver slots (one when it
+        reports none), and only this service's own in-flight flushes
+        count as busy.
     transport:
         The batch data plane (see :mod:`repro.service.transport`):
         ``None``/``"pickle"`` ships payloads through the pool's pickle
@@ -308,9 +292,8 @@ class JacobiService:
         the merge order or the arithmetic.
     clock:
         Monotonic time source (injectable for tests), shared by the
-        batcher, the admission gate, the adaptive controller and the
-        tracer — under a fake clock every traced timestamp is exactly
-        pinnable.
+        batcher, the admission gate and the tracer — under a fake
+        clock every traced timestamp is exactly pinnable.
     trace:
         Record one event per lifecycle edge of every request (see
         :meth:`trace`).  ``False`` (default) keeps the zero-overhead
@@ -337,10 +320,6 @@ class JacobiService:
                  workers: int = 0, compute_eigenvectors: bool = True,
                  executor: Optional[ShardedExecutor] = None,
                  transport: Optional[Any] = None,
-                 adaptive: bool = False,
-                 tuning_bounds: Optional[TuningBounds] = None,
-                 tuning_policy: Optional[Any] = None,
-                 tuning_window: int = 8,
                  clock: Callable[[], float] = time.monotonic,
                  trace: bool = False,
                  tracer: Optional[Any] = None,
@@ -352,7 +331,6 @@ class JacobiService:
         self.max_sweeps = int(max_sweeps)
         self.compute_eigenvectors = bool(compute_eigenvectors)
         self.workers = int(workers)
-        self.adaptive = bool(adaptive)
         self._clock = clock
         if tracer is not None:
             self._tracer: Optional[Tracer] = resolve_tracer(tracer)
@@ -370,19 +348,6 @@ class JacobiService:
                                      max_delay=max_delay,
                                      clock=self._clock,
                                      tracer=self._tracer)
-        if self.adaptive:
-            bounds = tuning_bounds if tuning_bounds is not None else \
-                TuningBounds(min_batch=1,
-                             max_batch=max(1, 8 * int(max_batch)),
-                             min_delay=float(max_delay) / 32.0,
-                             max_delay=float(max_delay))
-            self._controller: Optional[AdaptiveController] = \
-                AdaptiveController(bounds=bounds, policy=tuning_policy,
-                                   window=tuning_window,
-                                   clock=self._clock,
-                                   tracer=self._tracer)
-        else:
-            self._controller = None
         self._solve_seconds = {kind: 0.0 for kind in KINDS}
         self._solved_batches = {kind: 0 for kind in KINDS}
         # An instance passed in stays caller-owned (mirrors executor).
@@ -493,6 +458,9 @@ class JacobiService:
                 f"unknown traffic kind {kind!r}; known: {KINDS}")
         A, key = traffic.admit(self, A, ordering, d)
         key = (kind,) + key
+        # A bad deadline fails here, with the matrix: before any trace
+        # event, counter move or "block" wait.
+        ttl = self._gate.ttl(deadline)
         future: "Future[Any]" = Future()
         shed: List[_Item] = []
         try:
@@ -523,7 +491,8 @@ class JacobiService:
                         remaining = decision.give_up - self._clock()
                         if remaining <= 0:
                             break
-                        self._cond.wait(remaining)
+                        self._cond.wait(min(remaining,
+                                            threading.TIMEOUT_MAX))
                     # close() during the wait gives up like a timeout:
                     # a rejection on the ledger, raised as closed below.
                     decision = AdmissionDecision(
@@ -566,7 +535,7 @@ class JacobiService:
                 self._batcher.submit(
                     key, _Item(matrix=A, future=future, req=req,
                                kind=kind, tenant=tenant),
-                    expires=self._gate.expiry(deadline))
+                    expires=None if ttl is None else self._clock() + ttl)
                 if self._first_submit is None:
                     self._first_submit = self._clock()
                 self._submitted += 1
@@ -593,10 +562,15 @@ class JacobiService:
                    d: Optional[int] = None) -> List[Any]:
         """Submit a whole sequence of ``matrices`` (with the same
         ``kind``/``ordering``/``d`` semantics as :meth:`submit`), force
-        a flush, and wait for the results, in input order."""
-        futures = [self.submit(A, kind=kind, ordering=ordering, d=d)
-                   for A in matrices]
-        self.flush()
+        a flush, and wait for the results, in input order.
+
+        The sequence is queued in one critical section, so an idle
+        dispatcher cannot take its first matrix alone: the forced flush
+        makes one engine call per ``max_batch`` chunk."""
+        with self._cond:  # re-entrant: submit() takes it again
+            futures = [self.submit(A, kind=kind, ordering=ordering, d=d)
+                       for A in matrices]
+            self.flush()
         return [f.result() for f in futures]
 
     def flush(self) -> None:
@@ -620,24 +594,46 @@ class JacobiService:
                     self._force = False
                 else:
                     events = self._batcher.pop_ready()
+                if not events:
+                    # Work-conserving: each free solver slot takes the
+                    # oldest group now rather than idle out max_delay.
+                    for _ in range(self._free_slots_locked()):
+                        event = self._batcher.pop_idle()
+                        if event is None:
+                            break
+                        events.append(event)
                 if not events and not shed:
                     if self._closed and not self._batcher.pending():
                         return
+                    # Asleep, every slot is busy (or nothing is queued);
+                    # _settle/_fail notify when a slot frees up.
                     deadline = self._batcher.next_deadline()
                     timeout = (None if deadline is None
-                               else max(0.0, deadline - self._clock()))
+                               else min(max(0.0, deadline - self._clock()),
+                                        threading.TIMEOUT_MAX))
                     self._cond.wait(timeout)
                     continue
             self._resolve_shed(shed)
             for event in events:
                 self._dispatch(event)
 
+    def _free_slots_locked(self) -> int:
+        """Solver slots free for an idle release (caller holds
+        ``_cond``).  Inline, the dispatcher thread is the one slot, and
+        it is free whenever it asks; a pool has one slot per worker
+        (one if the executor reports no ``workers``), less the flushes
+        it is still solving."""
+        if not (self._executor is not None
+                and getattr(self._executor, "uses_processes", False)):
+            return 1
+        return (getattr(self._executor, "workers", 1)
+                - len(self._pending_remote))
+
     def _pop_expired_locked(self) -> List[_Item]:
         """Drop every expired queued item (caller holds ``_cond``).
 
-        Accounts the drop — ``shed`` counter up, in-flight down, the
-        adaptive controller told per key so it does not read a shed
-        backlog as demand — and wakes any ``"block"``-policy waiter.
+        Accounts the drop — ``shed`` counter up, in-flight down — and
+        wakes any ``"block"``-policy waiter.
         The returned items' futures are still unresolved; the caller
         must hand them to :meth:`_resolve_shed` *after* releasing the
         lock.
@@ -652,12 +648,6 @@ class JacobiService:
                                   tenant=item.tenant)
         self._shed += len(dropped)
         self._inflight -= len(dropped)
-        if self._controller is not None:
-            counts: Dict[Any, int] = {}
-            for key, _ in dropped:
-                counts[key] = counts.get(key, 0) + 1
-            for key, count in counts.items():
-                self._controller.record_shed(key, count)
         self._cond.notify_all()
         return [item for _, item in dropped]
 
@@ -739,7 +729,6 @@ class JacobiService:
                 pass
             self._fail(items, exc, event)
             return
-        self._observe(event, out.get("elapsed"))
         self._settle(items, out, event)
 
     def _finalize(self, out: Dict[str, Any], handle: Optional[Any],
@@ -758,8 +747,7 @@ class JacobiService:
                          fut: "Future[Dict[str, np.ndarray]]") -> None:
         """Resolve one remotely-solved flush (runs on a pool callback
         thread): failures release the transport handle and fail the
-        futures, successes feed the adaptive observation loop and
-        settle them."""
+        futures, successes settle them."""
         with self._cond:
             claimed = self._pending_remote.pop(fut, None)
         if claimed is None:
@@ -781,37 +769,21 @@ class JacobiService:
                 pass
             self._fail(items, exc, event)
             return
-        self._observe(event, out.get("elapsed"))
         self._settle(items, out, event)
-
-    def _observe(self, event: FlushEvent,
-                 elapsed: Optional[float]) -> None:
-        """Feed one completed flush back into the tuning loop: account
-        the per-kind solve latency and let the adaptive controller
-        retune the flushed key's batcher limits."""
-        with self._cond:
-            kind = event.key[0]
-            if elapsed is not None:
-                self._solve_seconds[kind] += float(elapsed)
-                self._solved_batches[kind] += 1
-            if self._controller is None:
-                return
-            decision = self._controller.observe(event,
-                                                solve_latency=elapsed)
-            if decision is not None:
-                self._batcher.set_limits(event.key, decision.batch_to,
-                                         decision.delay_to)
-                # Wake the dispatcher: a shrunk delay can pull the next
-                # deadline earlier than its current wait timeout.
-                self._cond.notify_all()
 
     def _settle(self, items: List[_Item], out: Dict[str, np.ndarray],
                 event: Optional[FlushEvent] = None) -> None:
         batch = event.batch if event is not None else None
+        elapsed = out.get("elapsed")
+        if elapsed is not None and items:
+            # Account the solve before any future resolves, so a caller
+            # woken by its result reads it in stats().
+            with self._cond:
+                self._solve_seconds[items[0].kind] += float(elapsed)
+                self._solved_batches[items[0].kind] += 1
         if self._tracer is not None:
             worker = out.get("worker")
             worker = None if worker is None else str(worker)
-            elapsed = out.get("elapsed")
             for item in items:
                 self._tracer.emit("solved", request=item.req,
                                   kind=item.kind, batch=batch,
@@ -911,11 +883,9 @@ class JacobiService:
         Returns
         -------
         ServiceStats
-            Queue/throughput counters plus — when the service is
-            adaptive — the per-key limit overrides and the applied
-            tuning trace, and the transport's data-plane counters
-            (see :class:`ServiceStats`).  The snapshot is consistent:
-            every field is read in one critical section of the
+            Queue/throughput counters plus the transport's data-plane
+            counters (see :class:`ServiceStats`).  The snapshot is
+            consistent: every field is read in one critical section of the
             dispatch lock (a mid-flush ``stats()`` call can never
             violate the :attr:`ServiceStats.accounted` identity).
         """
@@ -951,10 +921,6 @@ class JacobiService:
                 elapsed=elapsed,
                 throughput=(self._completed / elapsed
                             if elapsed > 0 else 0.0),
-                adaptive=self.adaptive,
-                limits=self._batcher.overrides(),
-                tuning=(self._controller.trace()
-                        if self._controller is not None else ()),
                 solve_latency_by_kind={
                     kind: (self._solve_seconds[kind]
                            / self._solved_batches[kind]
@@ -994,7 +960,6 @@ class JacobiService:
             meta = {
                 "d": self.d, "ordering": self.ordering, "tol": self.tol,
                 "max_sweeps": self.max_sweeps, "workers": self.workers,
-                "adaptive": self.adaptive,
                 "max_batch": self._batcher.max_batch,
                 "max_delay": self._batcher.max_delay,
                 "max_queue": self._gate.max_queue,

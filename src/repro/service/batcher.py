@@ -1,4 +1,4 @@
-"""Micro-batching: group streaming submissions, flush by size or deadline.
+"""Micro-batching: group streaming submissions, release them as batches.
 
 The batched engine is fastest when it sees many same-shape matrices at
 once, but a *service* receives matrices one at a time.
@@ -13,24 +13,22 @@ released when it
 * reaches ``max_batch`` items (a **size** flush — full batches, maximum
   throughput), or
 * has waited ``max_delay`` seconds since its oldest item arrived (a
-  **deadline** flush — bounded latency for trickling traffic), or
+  **deadline** flush — bounded latency while every solver is busy), or
+* is the oldest group when the owner has a solver free and nothing
+  else is ready (an **idle** flush, :meth:`pop_idle` — a free solver
+  never waits out a deadline), or
 * is explicitly drained (a **forced** flush — e.g. on shutdown or
   :meth:`~repro.service.api.JacobiService.flush`).
 
-The ``max_batch``/``max_delay`` pair set at construction is the
-*default*; :meth:`set_limits` overrides it per key, which is the hook
-the adaptive controller
-(:class:`~repro.service.adaptive.AdaptiveController`) tunes through.
-Every :class:`FlushEvent` reports the limits that were in effect and
-the backlog the release left behind, so a tuning policy can judge
-whether the current settings fit the observed traffic.
+One ``max_batch``/``max_delay`` pair applies to every key, and
+``max_batch`` caps every release.
 
 Releases are numbered: every :class:`FlushEvent` carries a
 monotonically increasing ``batch`` id, which is what ties a request's
 trace events (``flushed`` / ``dispatched`` / ``solved``) to the
 micro-batch that carried it.  When the batcher is built with a
 :class:`~repro.service.tracing.Tracer` it also emits one batch-level
-``"flush"`` event per release (size, cause, wait, backlog, limits).
+``"flush"`` event per release (size, cause, wait).
 
 Items can additionally carry a per-item *expiry* (an absolute clock
 value): :meth:`pop_expired` removes and returns everything past its
@@ -41,16 +39,17 @@ hook behind the service's deadline-based admission policy
 time to shed.
 
 The class is deliberately *passive*: it never spawns threads or sleeps.
-Callers inject a ``clock`` and drive :meth:`pop_ready` themselves —
-:class:`~repro.service.api.JacobiService` does so from its dispatcher
-thread, and the unit tests do so with a fake clock, which is what makes
-the size/deadline semantics exactly pinnable.  It is **not**
-thread-safe; the owner serialises access (the service holds its
-condition lock around every call).
+Callers inject a ``clock`` and drive :meth:`pop_ready` and
+:meth:`pop_idle` themselves — :class:`~repro.service.api.JacobiService`
+does so from its dispatcher thread, and the unit tests do so with a
+fake clock, which is what makes the release semantics exactly
+pinnable.  It is **not** thread-safe; the owner serialises access (the
+service holds its condition lock around every call).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
@@ -62,7 +61,7 @@ __all__ = ["FLUSH_CAUSES", "FlushEvent", "MicroBatcher"]
 
 #: Flush causes reported on :class:`FlushEvent` (and counted by the
 #: service stats).
-FLUSH_CAUSES = ("size", "deadline", "forced")
+FLUSH_CAUSES = ("size", "deadline", "idle", "forced")
 
 
 @dataclass(frozen=True)
@@ -76,18 +75,12 @@ class FlushEvent:
     items:
         The queued payloads, in arrival order.
     cause:
-        ``"size"``, ``"deadline"`` or ``"forced"``.
+        One of :data:`FLUSH_CAUSES`: ``"size"`` (the group reached
+        ``max_batch``), ``"deadline"`` (its oldest item waited
+        ``max_delay``), ``"idle"`` (a solver was free, see
+        :meth:`MicroBatcher.pop_idle`) or ``"forced"`` (a drain).
     waited:
         Seconds the oldest released item spent queued.
-    queued_after:
-        Items of the same key still queued after this release — a
-        size flush with ``queued_after > 0`` means the batch ceiling,
-        not the traffic, capped the batch (the saturation signal the
-        adaptive policy grows ``max_batch`` on).
-    limit_batch:
-        The ``max_batch`` in effect for the key at release time.
-    limit_delay:
-        The ``max_delay`` in effect for the key at release time.
     batch:
         Monotonically increasing release id assigned by the batcher
         (-1 for events constructed outside one) — the join key between
@@ -98,9 +91,6 @@ class FlushEvent:
     items: Tuple[Any, ...]
     cause: str
     waited: float
-    queued_after: int = 0
-    limit_batch: int = 0
-    limit_delay: float = 0.0
     batch: int = -1
 
     @property
@@ -117,27 +107,25 @@ class _Group:
 
 
 class MicroBatcher:
-    """Queue items per key; release micro-batches by size or deadline.
+    """Queue items per key; release micro-batches by size, deadline,
+    idle solver or drain.
 
     Parameters
     ----------
     max_batch:
-        Default items per size-triggered flush (>= 1), and a hard
-        ceiling on every release: oversized groups always come out as
-        several full batches (the remainder waits for its deadline, or
-        is chunked on a drain).
+        Items per size-triggered flush (>= 1), and a hard ceiling on
+        every release: oversized groups always come out as several
+        full batches (the remainder waits for its deadline or an idle
+        release, or is chunked on a drain).
     max_delay:
-        Default seconds a group's oldest item may wait before a
-        deadline flush (>= 0; ``0`` releases on the next poll).
+        Seconds a group's oldest item may wait before a deadline flush
+        (finite and >= 0; ``0`` releases on the next poll).
     clock:
         Monotonic time source (injectable for tests).
     tracer:
         Optional :class:`~repro.service.tracing.Tracer`; when enabled,
         every release additionally emits a batch-level ``"flush"``
         event (``None`` or a disabled tracer costs nothing).
-
-    Both defaults can be overridden per key with :meth:`set_limits`;
-    overrides are sticky — they survive the key's queue emptying.
     """
 
     def __init__(self, max_batch: int = 16, max_delay: float = 0.02,
@@ -145,66 +133,15 @@ class MicroBatcher:
                  tracer: Optional[Any] = None) -> None:
         self.max_batch = int(max_batch)
         self.max_delay = float(max_delay)
-        _check_limits(max_batch, max_delay)
+        if self.max_batch < 1:
+            raise SimulationError(f"max_batch must be >= 1, got {max_batch}")
+        if not (math.isfinite(self.max_delay) and self.max_delay >= 0):
+            raise SimulationError(
+                f"max_delay must be finite and >= 0, got {max_delay}")
         self._clock = clock
         self._tracer = resolve_tracer(tracer)
         self._groups: Dict[Hashable, _Group] = {}
-        self._limits: Dict[Hashable, Tuple[int, float]] = {}
         self._next_batch = 0
-
-    # ------------------------------------------------------------------
-    def limits_for(self, key: Hashable) -> Tuple[int, float]:
-        """The effective ``(max_batch, max_delay)`` for ``key``.
-
-        Parameters
-        ----------
-        key:
-            A grouping key (need not have queued items).
-
-        Returns
-        -------
-        (int, float)
-            The key's override from :meth:`set_limits`, or the
-            batcher-wide defaults.
-        """
-        return self._limits.get(key, (self.max_batch, self.max_delay))
-
-    def set_limits(self, key: Hashable, max_batch: Optional[int] = None,
-                   max_delay: Optional[float] = None) -> None:
-        """Override the flush limits of one key.
-
-        Parameters
-        ----------
-        key:
-            The grouping key to retune.
-        max_batch:
-            New size-flush threshold (``None`` keeps the key's current
-            value).
-        max_delay:
-            New deadline in seconds (``None`` keeps the key's current
-            value).
-
-        The override is sticky: it applies to every later submission
-        under ``key`` until overridden again, even across the key's
-        queue emptying.  This is the knob the adaptive controller
-        turns.
-        """
-        batch, delay = self.limits_for(key)
-        batch = batch if max_batch is None else int(max_batch)
-        delay = delay if max_delay is None else float(max_delay)
-        _check_limits(batch, delay)
-        self._limits[key] = (batch, delay)
-
-    def overrides(self) -> Dict[Hashable, Tuple[int, float]]:
-        """Per-key limit overrides currently in force.
-
-        Returns
-        -------
-        dict
-            ``key -> (max_batch, max_delay)`` for every key retuned via
-            :meth:`set_limits` (keys on the defaults are absent).
-        """
-        return dict(self._limits)
 
     # ------------------------------------------------------------------
     def submit(self, key: Hashable, item: Any,
@@ -236,7 +173,7 @@ class MicroBatcher:
         group.items.append(item)
         group.arrived.append(now)
         group.expires.append(None if expires is None else float(expires))
-        return len(group.items) >= self.limits_for(key)[0]
+        return len(group.items) >= self.max_batch
 
     def pending(self) -> int:
         """Queued items across all groups."""
@@ -249,11 +186,10 @@ class MicroBatcher:
     def next_deadline(self) -> Optional[float]:
         """Clock value at which the earliest group flushes *or the
         earliest item expires* (None when empty) — what a dispatcher
-        thread should sleep until.  Each group flushes by its key's own
-        ``max_delay``; item expiries (see :meth:`submit`) are folded in
-        so the owner wakes in time to shed stale work."""
-        deadlines = [g.arrived[0] + self.limits_for(key)[1]
-                     for key, g in self._groups.items() if g.items]
+        thread should sleep until.  Item expiries (see :meth:`submit`)
+        are folded in so the owner wakes in time to shed stale work."""
+        deadlines = [g.arrived[0] + self.max_delay
+                     for g in self._groups.values()]
         deadlines.extend(e for g in self._groups.values()
                          for e in g.expires if e is not None)
         if not deadlines:
@@ -275,19 +211,19 @@ class MicroBatcher:
             The stale payloads in arrival order per key, removed from
             their groups — the caller sheds them (fails their futures)
             instead of ever batching them.  Items submitted without an
-            expiry are never returned.
+            expiry are never returned; every other item is either
+            returned or kept, never lost.
         """
         now = self._clock() if now is None else now
         dropped: List[Tuple[Hashable, Any]] = []
         for key in list(self._groups):
             group = self._groups[key]
-            keep = [k for k, e in enumerate(group.expires)
-                    if e is None or e > now]
-            if len(keep) == len(group.items):
+            stale = [e is not None and e <= now for e in group.expires]
+            if not any(stale):
                 continue
-            dropped.extend((key, group.items[k])
-                           for k, e in enumerate(group.expires)
-                           if e is not None and e <= now)
+            dropped.extend((key, item)
+                           for item, s in zip(group.items, stale) if s)
+            keep = [k for k, s in enumerate(stale) if not s]
             group.items = [group.items[k] for k in keep]
             group.arrived = [group.arrived[k] for k in keep]
             group.expires = [group.expires[k] for k in keep]
@@ -299,13 +235,11 @@ class MicroBatcher:
     def _release(self, key: Hashable, count: int, cause: str,
                  now: float) -> FlushEvent:
         group = self._groups[key]
-        batch, delay = self.limits_for(key)
         items = tuple(group.items[:count])
         waited = now - group.arrived[0]
         del group.items[:count]
         del group.arrived[:count]
         del group.expires[:count]
-        queued_after = len(group.items)
         if not group.items:
             del self._groups[key]
         batch_id = self._next_batch
@@ -314,11 +248,9 @@ class MicroBatcher:
             self._tracer.emit(
                 "flush", key=key, batch=batch_id,
                 meta={"size": len(items), "cause": cause,
-                      "waited": waited, "queued_after": queued_after,
-                      "limit_batch": batch, "limit_delay": delay})
+                      "waited": waited})
         return FlushEvent(key=key, items=items, cause=cause, waited=waited,
-                          queued_after=queued_after, limit_batch=batch,
-                          limit_delay=delay, batch=batch_id)
+                          batch=batch_id)
 
     def pop_ready(self, now: Optional[float] = None) -> List[FlushEvent]:
         """Release every size-ready batch and every expired group.
@@ -332,22 +264,49 @@ class MicroBatcher:
         -------
         list of FlushEvent
             Size flushes come out as full ``max_batch`` chunks in
-            arrival order; a remainder below the key's ``max_batch`` is
-            released only once its oldest item has waited the key's
-            ``max_delay``.
+            arrival order; a remainder below ``max_batch`` is released
+            only once its oldest item has waited ``max_delay``.
         """
         now = self._clock() if now is None else now
         events: List[FlushEvent] = []
         for key in list(self._groups):
-            batch, delay = self.limits_for(key)
             while (key in self._groups
-                   and len(self._groups[key].items) >= batch):
-                events.append(self._release(key, batch, "size", now))
+                   and len(self._groups[key].items) >= self.max_batch):
+                events.append(self._release(key, self.max_batch, "size",
+                                            now))
             if (key in self._groups
-                    and now - self._groups[key].arrived[0] >= delay):
+                    and now - self._groups[key].arrived[0]
+                    >= self.max_delay):
                 events.append(self._release(
                     key, len(self._groups[key].items), "deadline", now))
         return events
+
+    def pop_idle(self, now: Optional[float] = None
+                 ) -> Optional[FlushEvent]:
+        """Release the oldest group now (cause ``"idle"``).
+
+        The owner calls this when a solver is free and :meth:`pop_ready`
+        had nothing to release, so queued work never waits out
+        ``max_delay`` beside an idle solver.
+
+        Parameters
+        ----------
+        now:
+            Clock override (defaults to the injected clock).
+
+        Returns
+        -------
+        FlushEvent or None
+            The group whose oldest item arrived first (ties go to the
+            key queued first), up to ``max_batch`` of its items; the
+            remainder stays queued.  ``None`` when nothing is queued.
+        """
+        if not self._groups:
+            return None
+        now = self._clock() if now is None else now
+        key = min(self._groups, key=lambda k: self._groups[k].arrived[0])
+        count = min(len(self._groups[key].items), self.max_batch)
+        return self._release(key, count, "idle", now)
 
     def drain(self, now: Optional[float] = None) -> List[FlushEvent]:
         """Release everything immediately (cause ``"forced"``).
@@ -367,17 +326,7 @@ class MicroBatcher:
         now = self._clock() if now is None else now
         events: List[FlushEvent] = []
         for key in list(self._groups):
-            batch = self.limits_for(key)[0]
             while key in self._groups:
-                count = min(len(self._groups[key].items), batch)
+                count = min(len(self._groups[key].items), self.max_batch)
                 events.append(self._release(key, count, "forced", now))
         return events
-
-
-def _check_limits(max_batch: int, max_delay: float) -> None:
-    """Validate a ``(max_batch, max_delay)`` pair (shared by the
-    constructor and :meth:`MicroBatcher.set_limits`)."""
-    if int(max_batch) < 1:
-        raise SimulationError(f"max_batch must be >= 1, got {max_batch}")
-    if float(max_delay) < 0:
-        raise SimulationError(f"max_delay must be >= 0, got {max_delay}")

@@ -3,7 +3,7 @@
 :class:`Tracer` is the service stack's single event sink.  Every
 instrumented component — the facade
 (:class:`~repro.service.api.JacobiService`), the batcher, the admission
-gate, the adaptive controller, the batch transport (segment
+gate, the batch transport (segment
 ``"attached"``/``"detached"`` edges, see
 :data:`~repro.analysis.events.TRANSPORT_STAGES`) — holds an optional
 reference and calls

@@ -96,15 +96,11 @@ class TestCommands:
         assert main(["load-bench", "--scenarios", "trickle",
                      "--items", "8", "--json", str(report)]) == 0
         out = capsys.readouterr().out
-        assert "fixed vs adaptive" in out
-        assert "adaptive b=4" in out
-        assert "retunes" in out
+        assert "flushes s/d/i/f" in out
         data = json.loads(report.read_text())
         assert data["benchmark"] == "load-bench"
-        # two fixed baselines + the adaptive run for the one scenario
-        assert len(data["results"]) == 3
-        assert {r["label"] for r in data["results"]} \
-            >= {"adaptive b=4 d=20ms"}
+        # the two fixed baselines for the one scenario
+        assert len(data["results"]) == 2
 
     def test_load_bench_rejects_unknown_scenario(self):
         from repro.errors import SimulationError
@@ -121,7 +117,7 @@ class TestCommands:
         bundle = json.loads(trace.read_text())
         assert bundle["schema"] == "repro-trace-bundle/v1"
         # one traced timeline per (scenario, setting) replay
-        assert len(bundle["traces"]) == 3
+        assert len(bundle["traces"]) == 2
         for record in bundle["traces"]:
             assert record["timeline"]["schema"] == "repro-trace/v1"
             assert record["settings"]["max_batch"] >= 1
@@ -134,7 +130,7 @@ class TestCommands:
         capsys.readouterr()
         assert main(["load-bench", "--replay", str(trace)]) == 0
         out = capsys.readouterr().out
-        assert "replayed 3 recorded runs" in out
+        assert "replayed 2 recorded runs" in out
         assert "outcome sequences match" in out
 
     def test_load_bench_replay_excludes_trace_out(self, capsys):
@@ -151,7 +147,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "per-request latency by stage" in out
         assert "per-worker utilisation" in out
-        assert out.count("incomplete lifecycles: 0") == 3
+        assert out.count("incomplete lifecycles: 0") == 2
         assert "worker" in out
 
     def test_trace_report_on_single_timeline(self, capsys, tmp_path):

@@ -21,7 +21,6 @@ EXAMPLES = REPO / "examples"
 
 #: Tiny-argument invocations, one per example file.
 EXAMPLE_ARGS = {
-    "adaptive_service.py": ["--scenario", "trickle", "--items", "12"],
     "batched_ensemble.py": ["--batch", "4", "--m", "16", "--d", "2"],
     "communication_cost_study.py": ["--d", "5", "--m-exp", "12"],
     "convergence_study.py": ["--matrices", "2", "--max-m", "16"],

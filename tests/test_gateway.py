@@ -18,7 +18,12 @@ import asyncio
 
 import numpy as np
 import pytest
-from testkit import FakeClock, StubService, make_matrices as _mats
+from testkit import (
+    FakeClock,
+    ManualExecutor,
+    StubService,
+    make_matrices as _mats,
+)
 
 from repro.analysis.events import tenant_breakdown, validate_lifecycles
 from repro.errors import (
@@ -410,8 +415,10 @@ class TestGatewayIntegration:
         assert st.rejected == 0
 
     def test_service_shed_lands_in_the_tenant_ledger(self):
+        pool = ManualExecutor(workers=0)  # no free solver: it queues
         with JacobiService(d=1, max_batch=100, max_delay=60.0,
-                           default_deadline=0.05) as svc:
+                           default_deadline=0.05,
+                           executor=pool) as svc, pool:
             gw = AsyncGateway(svc)
 
             async def main():

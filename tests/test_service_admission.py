@@ -4,7 +4,11 @@ The :class:`~repro.service.admission.AdmissionGate` and the batcher's
 expiry machinery are pinned with fake clocks (no sleeps, no races); the
 service-level integration tests then exercise the real dispatcher
 thread with generous delays, the same split as the batcher/service
-test modules.
+test modules.  Dispatch is work-conserving — a free solver takes queued
+work at once — so tests that need work to pile up first occupy the
+solver, as production load does: a :class:`testkit.ManualExecutor`
+with one worker holds the first flush, and one with no free worker
+keeps every item queued until its deadline or a forced flush.
 """
 
 from __future__ import annotations
@@ -15,7 +19,12 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from testkit import FakeClock, HangingExecutor, make_matrices as _mats
+from testkit import (
+    FakeClock,
+    HangingExecutor,
+    ManualExecutor,
+    make_matrices as _mats,
+)
 
 from repro.analysis.events import validate_lifecycles
 from repro.errors import AdmissionError, QueueFull, ShedError, SimulationError
@@ -163,8 +172,9 @@ class TestBatcherExpiry:
 # ----------------------------------------------------------------------
 class TestRejectPolicy:
     def test_queue_full_raises_and_counts(self):
+        pool = ManualExecutor(workers=1)  # the first flush holds it
         with JacobiService(d=1, max_batch=100, max_delay=60.0,
-                           max_queue=2) as svc:
+                           max_queue=2, executor=pool) as svc, pool:
             futures = [svc.submit(A) for A in _mats(8, 2)]
             with pytest.raises(QueueFull, match="max_queue=2"):
                 svc.submit(_mats(8, 1, seed=9)[0])
@@ -173,6 +183,7 @@ class TestRejectPolicy:
             assert st.queue_limit == 2
             assert st.saturation == pytest.approx(1.0)
             svc.flush()
+            pool.release()
             for f in futures:
                 assert f.result(timeout=30.0).converged
 
@@ -180,8 +191,9 @@ class TestRejectPolicy:
         """A rejected submission is still a submission: it counts in
         ``submitted`` and lands in ``rejected``, so the stats identity
         ``submitted == accounted`` holds (it enqueues nothing)."""
+        pool = ManualExecutor(workers=1)  # the first flush holds it
         with JacobiService(d=1, max_batch=100, max_delay=60.0,
-                           max_queue=1) as svc:
+                           max_queue=1, executor=pool) as svc, pool:
             svc.submit(_mats(8, 1)[0])
             with pytest.raises(QueueFull):
                 svc.submit(_mats(8, 1, seed=1)[0])
@@ -228,9 +240,11 @@ class TestBlockPolicy:
             assert svc.stats().rejected == 0
 
     def test_block_times_out_to_queue_full(self):
+        pool = ManualExecutor(workers=1)  # the first flush holds it
         with JacobiService(d=1, max_batch=100, max_delay=60.0,
                            max_queue=1, admission="block",
-                           admission_timeout=0.15) as svc:
+                           admission_timeout=0.15,
+                           executor=pool) as svc, pool:
             svc.submit(_mats(8, 1)[0])
             t0 = time.monotonic()
             with pytest.raises(QueueFull):
@@ -250,10 +264,11 @@ class TestBlockPolicy:
                 if stage == "submit" and fields.get("request") == 1:
                     blocked.set()
 
+        pool = ManualExecutor(workers=0)  # the first item stays queued
         svc = JacobiService(d=1, max_batch=100, max_delay=60.0,
                             max_queue=1, admission="block",
                             admission_timeout=30.0,
-                            tracer=SignallingTracer())
+                            tracer=SignallingTracer(), executor=pool)
         first = svc.submit(_mats(8, 1)[0])
         errors = []
 
@@ -268,6 +283,7 @@ class TestBlockPolicy:
         # The submit event is emitted under the service lock, which the
         # waiter only releases inside its wait: close() lands mid-wait.
         assert blocked.wait(30.0)
+        pool.release()  # close() may now solve the queued item
         svc.close()
         waiter.join(30.0)
         assert len(errors) == 1
@@ -282,8 +298,10 @@ class TestBlockPolicy:
 
 class TestShedPolicy:
     def test_deadline_lapse_resolves_to_shed_error(self):
+        pool = ManualExecutor(workers=0)  # no free solver: it queues
         with JacobiService(d=1, max_batch=100, max_delay=60.0,
-                           default_deadline=0.05) as svc:
+                           default_deadline=0.05,
+                           executor=pool) as svc, pool:
             fut = svc.submit(_mats(8, 1)[0])
             exc = fut.exception(timeout=30.0)
             assert isinstance(exc, ShedError)
@@ -293,32 +311,127 @@ class TestShedPolicy:
             assert st.queue_depth == 0
 
     def test_per_request_deadline_overrides_default(self):
-        with JacobiService(d=1, max_batch=100, max_delay=60.0) as svc:
+        pool = ManualExecutor(workers=0)  # no free solver: both queue
+        with JacobiService(d=1, max_batch=100, max_delay=60.0,
+                           executor=pool) as svc, pool:
             doomed = svc.submit(_mats(8, 1)[0], deadline=0.05)
             safe = svc.submit(_mats(8, 1, seed=1)[0])  # no deadline
             assert isinstance(doomed.exception(timeout=30.0), ShedError)
             svc.flush()
+            pool.release()
             assert safe.result(timeout=30.0).converged
 
     def test_shedding_makes_room_at_capacity(self):
+        pool = ManualExecutor(workers=0)  # no free solver: it queues
         with JacobiService(d=1, max_batch=100, max_delay=60.0,
                            max_queue=1, admission="shed",
-                           default_deadline=0.05) as svc:
+                           default_deadline=0.05,
+                           executor=pool) as svc, pool:
             doomed = svc.submit(_mats(8, 1)[0])
             time.sleep(0.2)  # let the queued item expire
             admitted = svc.submit(_mats(8, 1, seed=1)[0])
             assert isinstance(doomed.exception(timeout=30.0), ShedError)
             svc.flush()
+            pool.release()
             assert admitted.result(timeout=30.0).converged
             assert svc.stats().shed == 1
 
     def test_shed_without_expiries_rejects_at_capacity(self):
+        pool = ManualExecutor(workers=0)  # no free solver: it queues
         with JacobiService(d=1, max_batch=100, max_delay=60.0,
-                           max_queue=1, admission="shed") as svc:
+                           max_queue=1, admission="shed",
+                           executor=pool) as svc, pool:
             svc.submit(_mats(8, 1)[0])  # no deadline: never expires
             with pytest.raises(QueueFull):
                 svc.submit(_mats(8, 1, seed=1)[0])
             svc.flush()
+
+
+# ----------------------------------------------------------------------
+def _close_within(svc, timeout=10.0):
+    """close() on a daemon thread: a hung close fails the test instead
+    of hanging the suite."""
+    closer = threading.Thread(target=svc.close, daemon=True)
+    closer.start()
+    closer.join(timeout)
+    assert not closer.is_alive(), "close() hung"
+
+
+class TestNonFiniteSettings:
+    """Regression: NaN and infinite time settings lost requests or
+    killed threads.  Each is now a typed error at construction or
+    ``submit()``, except a ``+inf`` deadline, which never expires."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_max_delay_must_be_finite(self, bad):
+        with pytest.raises(SimulationError, match="max_delay"):
+            JacobiService(d=1, max_delay=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_admission_timeout_must_be_finite(self, bad):
+        with pytest.raises(SimulationError, match="timeout"):
+            JacobiService(d=1, max_queue=1, admission="block",
+                          admission_timeout=bad)
+
+    def test_default_deadline_must_not_be_nan(self):
+        with pytest.raises(SimulationError, match="default_deadline"):
+            JacobiService(d=1, default_deadline=float("nan"))
+
+    def test_nan_deadline_is_rejected_at_submit(self):
+        svc = JacobiService(d=1, max_batch=100, max_delay=60.0)
+        try:
+            with pytest.raises(SimulationError, match="deadline"):
+                svc.submit(_mats(8, 1)[0], deadline=float("nan"))
+            st = svc.stats()
+            assert (st.submitted, st.queue_depth, st.inflight) == (0, 0, 0)
+        finally:
+            _close_within(svc)
+
+    @pytest.mark.parametrize("where", ["deadline", "default_deadline"])
+    def test_infinite_deadline_never_expires(self, where):
+        inf = float("inf")
+        svc = JacobiService(d=1, max_batch=100, max_delay=0.01,
+                            **({where: inf} if where != "deadline"
+                               else {}))
+        try:
+            fut = svc.submit(_mats(8, 1)[0],
+                             **({where: inf} if where == "deadline"
+                                else {}))
+            assert fut.result(timeout=30.0).converged
+        finally:
+            _close_within(svc)
+
+    def test_huge_finite_delay_keeps_the_dispatcher_alive(self):
+        """A finite ``max_delay`` beyond ``threading.TIMEOUT_MAX`` must
+        not overflow the dispatcher's wait while every slot is busy."""
+        pool = ManualExecutor(workers=0)  # no free solver: it queues
+        svc = JacobiService(d=1, max_batch=100, max_delay=1e300,
+                            executor=pool)
+        try:
+            fut = svc.submit(_mats(8, 1)[0])
+            time.sleep(0.1)  # let the dispatcher go to sleep on it
+            pool.release()
+            svc.flush()
+            assert fut.result(timeout=30.0).converged
+        finally:
+            pool.release()
+            _close_within(svc)
+
+    def test_huge_finite_block_timeout_waits_for_capacity(self):
+        """Likewise a ``"block"`` wait longer than ``TIMEOUT_MAX`` must
+        wait for capacity, not raise ``OverflowError``."""
+        pool = ManualExecutor(workers=1)  # the first flush holds it
+        with JacobiService(d=1, max_batch=100, max_delay=60.0,
+                           max_queue=1, admission="block",
+                           admission_timeout=1e300,
+                           executor=pool) as svc, pool:
+            first = svc.submit(_mats(8, 1)[0])
+            freer = threading.Timer(0.1, pool.release)
+            freer.start()
+            second = svc.submit(_mats(8, 1, seed=1)[0])  # waits first
+            freer.join(30.0)
+            assert first.result(timeout=30.0).converged
+            assert second.result(timeout=30.0).converged
 
 
 # ----------------------------------------------------------------------
@@ -348,8 +461,9 @@ class TestStatsSplit:
         assert (st.queue_depth, st.inflight) == (0, 0)
 
     def test_saturation_ratio(self):
+        pool = ManualExecutor(workers=1)  # the first flush holds it
         with JacobiService(d=1, max_batch=100, max_delay=60.0,
-                           max_queue=4) as svc:
+                           max_queue=4, executor=pool) as svc, pool:
             for A in _mats(8, 2):
                 svc.submit(A)
             st = svc.stats()
@@ -360,11 +474,14 @@ class TestStatsSplit:
     def test_cancelled_futures_are_not_completed(self):
         """Regression: a caller-cancelled future must count as
         ``cancelled``, not silently inflate ``completed``."""
-        with JacobiService(d=1, max_batch=100, max_delay=60.0) as svc:
+        pool = ManualExecutor(workers=1)  # the first flush holds it
+        with JacobiService(d=1, max_batch=100, max_delay=60.0,
+                           executor=pool) as svc, pool:
             doomed = svc.submit(_mats(8, 1)[0])
             kept = svc.submit(_mats(8, 1, seed=1)[0])
             assert doomed.cancel()
             svc.flush()
+            pool.release()
             assert kept.result(timeout=30.0).converged
             st = svc.stats()
         assert st.completed == 1

@@ -9,11 +9,15 @@ thread is exercised with generous delays to stay robust on slow boxes.
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 import warnings
 from concurrent.futures import wait
 
 import numpy as np
 import pytest
+from testkit import FakeClock, ManualExecutor
 
 from repro.errors import SimulationError
 from repro.jacobi import ParallelOneSidedJacobi, make_symmetric_test_matrix
@@ -209,6 +213,55 @@ class TestFlushTriggers:
         assert all(f.done() for f in futures)
         assert all(f.result().converged for f in futures)
 
+    def test_idle_solver_takes_a_lone_submission_at_once(self):
+        """Work-conserving dispatch: the free inline solver releases a
+        lone submission at once (cause ``"idle"``); the fake clock never
+        reaches ``max_delay``."""
+        clock = FakeClock()
+        with JacobiService(d=1, max_batch=100, max_delay=60.0,
+                           clock=clock) as svc:
+            fut = svc.submit(_mats(8, 1)[0])
+            assert fut.result(timeout=30.0).converged
+            assert svc.stats().flushes["idle"] == 1
+        assert clock.t == 0.0
+
+    def test_pool_slots_gate_the_idle_release(self):
+        """With a pool, free slots are workers minus flushes in flight:
+        while the one worker is busy later items queue, ``max_delay``
+        still releases them, and a settled flush frees the slot for the
+        oldest queued group."""
+        clock = FakeClock()
+        pool = ManualExecutor(workers=1)
+        mats = _mats(8, 3)
+        with JacobiService(d=1, max_batch=100, max_delay=0.5,
+                           clock=clock, executor=pool) as svc, pool:
+            futures = [svc.submit(mats[0])]
+            assert pool.wait_for_calls(1, 30.0)  # idle: the slot was free
+            futures.append(svc.submit(mats[1]))
+            assert not pool.wait_for_calls(2, 0.2)  # every slot busy
+            assert svc.stats().queue_depth == 1
+            clock.advance(0.5)  # the queued item reaches max_delay
+            assert pool.wait_for_calls(2, 30.0)
+            futures.append(svc.submit(mats[2]))
+            assert not pool.wait_for_calls(3, 0.2)  # two flushes in flight
+            assert svc.stats().queue_depth == 1
+            pool.resolve_all()  # both settle: the worker is free again
+            assert pool.wait_for_calls(3, 30.0)
+            assert svc.stats().flushes == {"size": 0, "deadline": 1,
+                                           "idle": 2, "forced": 0}
+            pool.release()
+            for f in futures:
+                assert f.result(timeout=30.0).converged
+
+    def test_solve_many_is_one_engine_call_per_chunk(self):
+        """solve_many queues its whole sequence before any release, so
+        an idle dispatcher cannot take the first matrix alone."""
+        with JacobiService(d=1, max_batch=4, max_delay=60.0) as svc:
+            svc.solve_many(_mats(8, 6))
+            st = svc.stats()
+        assert st.flushes == {"size": 0, "deadline": 0, "idle": 0,
+                              "forced": 2}
+
 
 class TestValidation:
     def test_rejects_non_symmetric(self):
@@ -279,6 +332,67 @@ class TestValidation:
                 svc.submit(np.arange(64.0).reshape(8, 8))
             svc.flush()
             assert good.result(timeout=30.0).converged
+
+
+class TestWorkConservingStress:
+    def test_idle_releases_never_oversubscribe_the_pool(self):
+        """Submitters race the settle callbacks that free slots, under
+        a tiny thread switch interval: idle releases must never put
+        more flushes in flight than the pool has workers, and every
+        future must resolve exactly once."""
+
+        class CountingExecutor(ManualExecutor):
+            peak = 0
+
+            def submit(self, fn, *args):
+                with self._cond:
+                    self.peak = max(self.peak, len(self._held) + 1)
+                return super().submit(fn, *args)
+
+        pool = CountingExecutor(workers=2)
+        mats = _mats(8, 4)
+        futures: list = []
+        lock = threading.Lock()
+        stop = threading.Event()
+
+        def submitter():
+            for k in range(25):
+                fut = svc.submit(mats[k % 4])
+                with lock:
+                    futures.append(fut)
+
+        def resolver():
+            while not stop.is_set():
+                pool.resolve_all()
+                time.sleep(0.0005)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        svc = JacobiService(d=1, max_batch=1000, max_delay=60.0,
+                            executor=pool)
+        try:
+            threads = [threading.Thread(target=submitter)
+                       for _ in range(4)]
+            threads.append(threading.Thread(target=resolver))
+            for t in threads:
+                t.start()
+            for t in threads[:-1]:
+                t.join(60.0)
+                assert not t.is_alive()
+            assert wait(futures, timeout=60.0).not_done == set()
+            assert pool.peak <= 2
+        finally:
+            stop.set()
+            threads[-1].join(60.0)
+            sys.setswitchinterval(interval)
+            pool.release()
+            svc.close()
+        assert not threads[-1].is_alive()
+        assert all(f.result().converged for f in futures)
+        st = svc.stats()
+        assert (st.submitted, st.completed) == (100, 100)
+        assert st.accounted == st.submitted
+        assert st.flushes["idle"] == st.batches  # no deadline, no size
 
 
 class TestRobustness:
@@ -381,6 +495,13 @@ class TestStats:
         assert st.batches >= 3
         assert st.mean_batch_size <= 2.0
         assert st.throughput > 0.0
+
+    def test_solve_latency_by_kind(self):
+        with JacobiService(d=1, max_delay=0.01) as svc:
+            svc.solve_many(_mats(8, 3))
+            st = svc.stats()
+        assert st.solve_latency_by_kind["eigen"] > 0.0
+        assert st.solve_latency_by_kind["svd"] == 0.0
 
     def test_stats_before_any_traffic(self):
         with JacobiService(d=1) as svc:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.service import MicroBatcher
+from repro.service import MicroBatcher, Tracer
 
 
 class FakeClock:
@@ -44,6 +44,14 @@ class TestValidation:
     def test_bad_max_delay(self, clock):
         with pytest.raises(SimulationError):
             MicroBatcher(max_delay=-0.1, clock=clock)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_max_delay(self, clock, bad):
+        """Regression: a NaN delay never fired a deadline flush (the
+        dispatcher spun on ``wait(0)``) and an infinite one killed the
+        dispatcher thread with ``OverflowError``."""
+        with pytest.raises(SimulationError, match="max_delay"):
+            MicroBatcher(max_delay=bad, clock=clock)
 
 
 class TestSizeFlush:
@@ -117,6 +125,52 @@ class TestDeadlineFlush:
         assert [e.cause for e in mb.pop_ready()] == ["deadline"]
 
 
+class TestIdleRelease:
+    def test_releases_the_oldest_group_capped_at_max_batch(self, clock):
+        tracer = Tracer(clock=clock)
+        mb = MicroBatcher(max_batch=3, max_delay=1.0, clock=clock,
+                          tracer=tracer)
+        mb.submit("young", "y")
+        mb.submit("drained", "d")
+        assert [e.batch for e in mb.drain()] == [0, 1]
+        mb.submit("young", "y0")
+        clock.advance(0.25)
+        for x in range(5):
+            mb.submit("old", x, now=clock.t - 0.5)  # arrived first
+        mb.submit("young", "y1")
+        clock.advance(0.25)
+
+        event = mb.pop_idle()
+        assert event.key == "old"
+        assert event.items == (0, 1, 2)  # capped at max_batch
+        assert event.cause == "idle"
+        assert event.batch == 2  # the next id after the drain's two
+        assert event.waited == pytest.approx(0.75)
+        assert mb.group_sizes() == {"young": 2, "old": 2}
+        flush = [e for e in tracer.events() if e.stage == "flush"][-1]
+        assert (flush.batch, flush.meta["cause"], flush.meta["size"]) \
+            == (2, "idle", 3)
+
+        # the rest of "old" still arrived before "young"'s oldest item
+        assert mb.pop_idle().items == (3, 4)
+        assert mb.pop_idle().items == ("y0", "y1")
+        assert mb.pop_idle() is None
+
+    def test_ties_go_to_the_key_queued_first(self, clock):
+        mb = make(clock)
+        mb.submit("a", 1)
+        mb.submit("b", 2)
+        assert mb.pop_idle().key == "a"
+
+    def test_empty_batcher_releases_nothing(self, clock):
+        mb = make(clock)
+        assert mb.pop_idle() is None
+        mb.submit("k", 1, expires=0.5)
+        clock.advance(1.0)
+        assert mb.pop_expired() == [("k", 1)]
+        assert mb.pop_idle() is None
+
+
 class TestGroupsAndDrain:
     def test_groups_are_independent(self, clock):
         mb = make(clock, max_batch=2)
@@ -142,6 +196,19 @@ class TestGroupsAndDrain:
         ]
         assert mb.pending() == 0
         assert mb.next_deadline() is None
+
+    def test_nan_expiry_is_kept_not_lost(self, clock):
+        """Regression: ``pop_expired`` kept items with ``e > now`` and
+        dropped items with ``e <= now``; a NaN expiry matched neither,
+        so the item silently vanished from its group."""
+        mb = make(clock)
+        mb.submit("k", "nan", expires=float("nan"))
+        mb.submit("k", "stale", expires=0.5)
+        clock.advance(1.0)
+        assert mb.pop_expired() == [("k", "stale")]
+        assert mb.group_sizes() == {"k": 1}
+        (event,) = mb.drain()
+        assert event.items == ("nan",)
 
     def test_arrival_order_preserved_within_group(self, clock):
         mb = make(clock, max_batch=10)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 
 import pytest
-from testkit import FakeClock, make_matrices as _mats
+from testkit import FakeClock, ManualExecutor, make_matrices as _mats
 
 from repro.analysis.events import validate_lifecycles
 from repro.errors import QueueFull, ShedError, SimulationError
@@ -112,12 +112,15 @@ class TestServiceTracing:
             assert ts == sorted(ts)
 
     def test_rejected_request_lifecycle(self):
+        pool = ManualExecutor(workers=1)  # the first flush holds it
         with JacobiService(d=1, max_batch=100, max_delay=60.0,
-                           max_queue=1, trace=True) as svc:
+                           max_queue=1, trace=True,
+                           executor=pool) as svc, pool:
             fut = svc.submit(_mats(8, 1)[0])
             with pytest.raises(QueueFull):
                 svc.submit(_mats(8, 1, seed=1)[0])
             svc.flush()
+            pool.release()
             assert fut.result(timeout=30.0).converged
         tl = svc.trace()
         assert validate_lifecycles(tl) == {}
@@ -126,9 +129,23 @@ class TestServiceTracing:
         # the gate also logged the overload observation itself
         assert any(e.stage == "overload" for e in tl.events)
 
+    def test_rejected_deadline_records_nothing(self):
+        """Regression: a bad ``deadline=`` raised only after the
+        ``submit`` and ``admitted`` events, leaving an orphan lifecycle.
+        It is now validated with the matrix, before any event."""
+        with JacobiService(d=1, trace=True) as svc:
+            with pytest.raises(SimulationError, match="deadline"):
+                svc.submit(_mats(8, 1)[0], deadline=-1)
+            assert svc.stats().submitted == 0
+        tl = svc.trace()
+        assert [e.stage for e in tl.events] == []
+        assert validate_lifecycles(tl) == {}
+
     def test_shed_request_lifecycle(self):
+        pool = ManualExecutor(workers=0)  # no free solver: it queues
         with JacobiService(d=1, max_batch=100, max_delay=60.0,
-                           default_deadline=0.05, trace=True) as svc:
+                           default_deadline=0.05, trace=True,
+                           executor=pool) as svc, pool:
             fut = svc.submit(_mats(8, 1)[0])
             assert isinstance(fut.exception(timeout=30.0), ShedError)
         tl = svc.trace()

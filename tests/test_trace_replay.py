@@ -8,15 +8,25 @@ deliberately deterministic scenario — a single instantaneous burst
 against a bounded rejecting queue, where admission arithmetic (not
 timing) decides every outcome — so recorded and replayed per-request
 outcome sequences must be *equal*, not merely similar.
+
+Dispatch is work-conserving: an idle solver takes an admitted matrix at
+once, and on a fast host could settle it before the burst ends.  Under
+production load the solver is busy, so the fixtures here keep it busy:
+the burst tests hold each replay's solves until its whole burst is
+submitted, and the deadline test replays on a pool with no free worker.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
+from testkit import ManualExecutor
 
+import repro.analysis.loadgen as loadgen
+import repro.service.api as api
 from repro.analysis.events import EventTimeline, validate_lifecycles
 from repro.analysis.loadgen import (
     TRACE_BUNDLE_SCHEMA,
@@ -29,6 +39,7 @@ from repro.analysis.loadgen import (
     trace_bundle_to_json,
 )
 from repro.errors import SimulationError
+from repro.service import JacobiService
 
 #: One instantaneous burst of identical eigen requests against a
 #: 4-deep rejecting queue with batching limits no burst can trigger:
@@ -46,7 +57,50 @@ def _burst():
             for _ in range(BURST)]
 
 
+@pytest.fixture
+def busy_solver(monkeypatch):
+    """Hold every solve while a burst is part-way submitted: each
+    replay's first solve waits until all ``BURST`` submissions (admitted
+    or rejected) are in, so queued + inflight reads 0, 1, 2, 3 as the
+    burst arrives, whatever the timing."""
+    cond = threading.Condition()
+    attempts = [0]
+    real_submit = JacobiService.submit
+    real_solve = api.solve_batch_remote
+
+    def submit(self, *args, **kwargs):
+        try:
+            return real_submit(self, *args, **kwargs)
+        finally:
+            with cond:
+                attempts[0] += 1
+                cond.notify_all()
+
+    def solve(payload):
+        with cond:
+            assert cond.wait_for(lambda: attempts[0] % BURST == 0, 30.0)
+        return real_solve(payload)
+
+    monkeypatch.setattr(JacobiService, "submit", submit)
+    monkeypatch.setattr(api, "solve_batch_remote", solve)
+
+
+@pytest.fixture
+def no_free_solver(monkeypatch):
+    """Replay on a pool with no free worker: queued work waits for its
+    deadline (or is shed first) instead of being solved at once."""
+    real = loadgen.JacobiService
+
+    def build(**kwargs):
+        pool = ManualExecutor(workers=0)
+        pool.release()  # flushes are solved as they arrive
+        return real(executor=pool, **kwargs)
+
+    monkeypatch.setattr(loadgen, "JacobiService", build)
+
+
 class TestRecordReplayEquivalence:
+    @pytest.mark.usefixtures("busy_solver")
     def test_outcomes_are_deterministic_and_reconstructible(self):
         arrivals = _burst()
         matrices = build_matrices(arrivals, seed=11)
@@ -70,6 +124,7 @@ class TestRecordReplayEquivalence:
         assert res2.outcomes == res1.outcomes
         assert outcomes_from_timeline(tl2) == outcomes_from_timeline(tl1)
 
+    @pytest.mark.usefixtures("busy_solver")
     def test_bundle_record_replay_rerecord(self):
         arrivals = _burst()
         matrices = build_matrices(arrivals, seed=11)
@@ -90,6 +145,7 @@ class TestRecordReplayEquivalence:
         [(_, res3, _)] = replay_recorded(bundle)
         assert res3.outcomes == res2.outcomes
 
+    @pytest.mark.usefixtures("no_free_solver")
     def test_recorded_deadlines_are_carried(self):
         arrivals = [Arrival(at=0.0, kind="eigen", n=8, m=8,
                             deadline=0.01)]

@@ -1,6 +1,6 @@
 """Shared deterministic testkit for the service-layer suites.
 
-The admission, adaptive, tracing, gateway and tenancy suites all pin
+The admission, tracing, gateway and tenancy suites all pin
 time-dependent behaviour without sleeping: every component under test
 is clock-injected, so a :class:`FakeClock` advanced by hand makes every
 deadline, expiry, quota refill and trace timestamp exactly reproducible.
@@ -15,7 +15,9 @@ Contents
 * :func:`make_matrices` — seeded symmetric test matrices (the ``_mats``
   helper the service suites share).
 * :class:`ManualExecutor` — a pool stand-in whose futures the test
-  resolves by hand, making dispatcher sleep/wake behaviour observable.
+  resolves by hand: a held flush keeps its solver slot busy, as
+  production load does, and makes dispatcher sleep/wake behaviour
+  observable.
 * :class:`HangingExecutor` — a pool stand-in whose futures never
   resolve (for overload-safe shutdown tests).
 * :class:`StubService` — a deterministic :class:`JacobiService` stand-in
@@ -68,22 +70,37 @@ class ManualExecutor:
     """Pool stand-in whose futures the test resolves by hand, making
     the dispatcher's sleep/wake behaviour observable: a dispatched
     flush sits unresolved until the test computes it, exactly like a
-    busy worker process."""
+    busy worker process.
+
+    ``workers`` is the worker count the service reads to count its
+    free solver slots (left unset, the executor reports none, like a
+    duck-typed pool).  ``workers=0`` models a pool whose every worker
+    is busy with other work: queued items then wait for their size or
+    deadline flush.  Use it as a context manager inside the service's
+    ``with`` block — leaving it calls :meth:`release`, so a failing
+    test cannot hang ``close()`` on a held flush.
+    """
 
     uses_processes = True
     broken = False
 
-    def __init__(self) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
+        if workers is not None:
+            self.workers = workers
         self.calls: List[Any] = []
-        self.auto = False  # teardown mode: resolve on submit
+        self.auto = False  # released: resolve on submit
+        self._held: List[Any] = []
         self._cond = threading.Condition()
 
     def submit(self, fn: Any, *args: Any) -> "Future[Any]":
         fut: "Future[Any]" = Future()
         with self._cond:
             self.calls.append((fn, args, fut))
+            run_now = self.auto
+            if not run_now:
+                self._held.append((fn, args, fut))
             self._cond.notify_all()
-        if self.auto:
+        if run_now:
             fut.set_result(fn(*args))
         return fut
 
@@ -93,16 +110,28 @@ class ManualExecutor:
                                        timeout)
 
     def resolve_all(self) -> None:
-        """Compute every unresolved dispatched flush inline (runs the
-        service's completion callbacks on this thread)."""
+        """Compute every held flush inline (runs the service's
+        completion callbacks on this thread)."""
         with self._cond:
-            pending = [(fn, args, fut) for fn, args, fut in self.calls
-                       if not fut.done()]
-        for fn, args, fut in pending:
+            held, self._held = self._held, []
+        for fn, args, fut in held:
             fut.set_result(fn(*args))
+
+    def release(self) -> None:
+        """Stop holding: resolve every held flush now and every later
+        one as it is submitted."""
+        with self._cond:
+            self.auto = True
+        self.resolve_all()
 
     def shutdown(self, wait: bool = True) -> None:
         pass
+
+    def __enter__(self) -> "ManualExecutor":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.release()
 
 
 class HangingExecutor:
