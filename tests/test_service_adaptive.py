@@ -1,30 +1,36 @@
-"""Adaptive micro-batching: controller, per-key limits, service wiring.
+"""Batching guarantees of a service whose limits never move.
 
-The controller and the batcher's per-key limits are both passive and
-clock-injected, so every tuning rule is pinned here deterministically —
-no sleeps, no threads.  The service integration tests at the bottom use
-the real dispatcher thread with generous delays, like the rest of the
-service suite; the regression class asserts ``adaptive=False`` behaviour
-is exactly the pre-adaptive service.
+One ``max_batch``/``max_delay`` pair applies to every key (the module
+keeps the name of the adaptive controller that once retuned them per
+key).  The tests pin that:
+
+* each key's size and deadline releases count over its own group, and
+  every release reports its own wait and batch id;
+* a service keeps its limits and stats shape, and dispatch timing
+  changes *when* a flush happens, never *what* it computes;
+* trickle traffic never waits out ``max_delay``, a burst behind a busy
+  solver leaves as one grown batch, and ``max_batch`` caps every
+  release;
+* a solver slot that frees up wakes a dispatcher asleep on a far
+  deadline.
+
+The batcher tests are passive and clock-injected; the service tests
+hold the solver busy with :class:`~testkit.ManualExecutor` wherever the
+outcome would otherwise depend on thread timing.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 import pytest
 from testkit import FakeClock, ManualExecutor, make_matrices as _mats
 
-from repro.errors import SimulationError
 from repro.jacobi import ParallelOneSidedJacobi
 from repro.orderings import get_ordering
-from repro.service import (
-    AdaptiveController,
-    HysteresisPolicy,
-    JacobiService,
-    MicroBatcher,
-    TuningBounds,
-)
-from repro.service.batcher import FlushEvent
+from repro.service import JacobiService, MicroBatcher
+from repro.service.batcher import FLUSH_CAUSES
 
 
 @pytest.fixture
@@ -32,387 +38,197 @@ def clock() -> FakeClock:
     return FakeClock()
 
 
-def _event(key="k", cause="deadline", items=(1,), waited=0.5,
-           queued_after=0, limit_batch=8, limit_delay=0.02) -> FlushEvent:
-    return FlushEvent(key=key, items=tuple(items), cause=cause,
-                      waited=waited, queued_after=queued_after,
-                      limit_batch=limit_batch, limit_delay=limit_delay)
-
-
-def _controller(clock, window=4, bounds=None, policy=None
-                ) -> AdaptiveController:
-    return AdaptiveController(
-        bounds=bounds or TuningBounds(min_batch=1, max_batch=64,
-                                      min_delay=0.001, max_delay=0.1),
-        policy=policy, window=window, clock=clock)
-
-
 class TestPerKeyLimits:
-    """MicroBatcher.set_limits: the knob the controller turns."""
-
-    def test_defaults_until_overridden(self, clock):
-        mb = MicroBatcher(max_batch=3, max_delay=1.0, clock=clock)
-        assert mb.limits_for("k") == (3, 1.0)
-        mb.set_limits("k", max_batch=5)
-        assert mb.limits_for("k") == (5, 1.0)
-        mb.set_limits("k", max_delay=0.25)
-        assert mb.limits_for("k") == (5, 0.25)
-        assert mb.limits_for("other") == (3, 1.0)
-        assert mb.overrides() == {"k": (5, 0.25)}
+    """MicroBatcher: each key flushes at the one max_batch/max_delay
+    pair, counted over its own group."""
 
     def test_size_flush_uses_key_limit(self, clock):
-        mb = MicroBatcher(max_batch=3, max_delay=1.0, clock=clock)
-        mb.set_limits("k", max_batch=2)
+        """A key's size count covers only its own queued items and
+        starts again once its group is released."""
+        mb = MicroBatcher(max_batch=2, max_delay=1.0, clock=clock)
         assert mb.submit("k", 1) is False
+        assert mb.submit("other", "x") is False
         assert mb.submit("k", 2) is True
         (event,) = mb.pop_ready()
-        assert event.cause == "size"
-        assert event.items == (1, 2)
-        assert event.limit_batch == 2
+        assert (event.key, event.items, event.cause) == ("k", (1, 2),
+                                                         "size")
+        assert mb.submit("k", 3) is False
+        assert mb.pop_ready() == []
+        assert mb.group_sizes() == {"other": 1, "k": 1}
 
     def test_deadline_uses_key_limit(self, clock):
+        """A key's deadline runs from its own oldest item."""
         mb = MicroBatcher(max_batch=10, max_delay=1.0, clock=clock)
-        mb.set_limits("fast", max_delay=0.1)
-        mb.submit("fast", "a")
-        mb.submit("slow", "b")
-        assert mb.next_deadline() == pytest.approx(0.1)
-        clock.advance(0.1)
+        mb.submit("early", "a")
+        clock.advance(0.5)
+        mb.submit("late", "b")
+        assert mb.next_deadline() == pytest.approx(1.0)
+        clock.advance(0.5)
         (event,) = mb.pop_ready()
-        assert event.key == "fast"
-        assert event.cause == "deadline"
-        clock.advance(0.9)
+        assert (event.key, event.cause) == ("early", "deadline")
+        assert mb.next_deadline() == pytest.approx(1.5)
+        clock.advance(0.5)
         (event,) = mb.pop_ready()
-        assert event.key == "slow"
-
-    def test_overrides_survive_queue_emptying(self, clock):
-        mb = MicroBatcher(max_batch=4, max_delay=1.0, clock=clock)
-        mb.set_limits("k", max_batch=2)
-        mb.submit("k", 1)
-        mb.submit("k", 2)
-        mb.pop_ready()
-        assert mb.pending() == 0
-        assert mb.limits_for("k") == (2, 1.0)
-
-    def test_drain_chunks_by_key_limit(self, clock):
-        mb = MicroBatcher(max_batch=10, max_delay=1.0, clock=clock)
-        mb.set_limits("k", max_batch=2)
-        for x in range(5):
-            mb.submit("k", x)
-        events = mb.drain()
-        assert [e.items for e in events] == [(0, 1), (2, 3), (4,)]
-
-    def test_set_limits_validates(self, clock):
-        mb = MicroBatcher(clock=clock)
-        with pytest.raises(SimulationError):
-            mb.set_limits("k", max_batch=0)
-        with pytest.raises(SimulationError):
-            mb.set_limits("k", max_delay=-1.0)
+        assert (event.key, event.cause) == ("late", "deadline")
 
     def test_flush_event_signals(self, clock):
-        """queued_after/limit_* on the event are what the policy sees."""
+        """One poll's size flushes carry consecutive batch ids, their
+        size, and the wait of the oldest item each one released."""
         mb = MicroBatcher(max_batch=2, max_delay=1.0, clock=clock)
-        for x in range(5):
+        for x in range(2):
             mb.submit("k", x)
+        clock.advance(0.25)
+        for x in range(2, 5):
+            mb.submit("k", x)
+        clock.advance(0.25)
         events = mb.pop_ready()
-        assert [(e.cause, e.size, e.queued_after) for e in events] == [
-            ("size", 2, 3), ("size", 2, 1)]
-        assert events[0].limit_batch == 2
-        assert events[0].limit_delay == 1.0
+        assert [(e.cause, e.size, e.batch) for e in events] == [
+            ("size", 2, 0), ("size", 2, 1)]
+        assert [e.waited for e in events] == pytest.approx([0.5, 0.25])
+        assert mb.pending() == 1
 
 
-class TestTuningBounds:
-    def test_clamp(self):
-        b = TuningBounds(min_batch=2, max_batch=16, min_delay=0.01,
-                         max_delay=0.1)
-        assert b.clamp(1, 0.5) == (2, 0.1)
-        assert b.clamp(100, 0.001) == (16, 0.01)
-        assert b.clamp(8, 0.05) == (8, 0.05)
+class TestNonAdaptiveRegression:
+    """A service has fixed limits: no tuning state, no moving knobs,
+    results independent of when flushes happen."""
 
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            TuningBounds(min_batch=0)
-        with pytest.raises(SimulationError):
-            TuningBounds(min_batch=8, max_batch=4)
-        with pytest.raises(SimulationError):
-            TuningBounds(min_delay=-0.1)
-        with pytest.raises(SimulationError):
-            TuningBounds(min_delay=0.2, max_delay=0.1)
+    def test_stats_shape_when_disabled(self):
+        with JacobiService(d=1, max_delay=0.01) as svc:
+            svc.solve_many(_mats(8, 3))
+            st = svc.stats()
+        assert tuple(st.flushes) == FLUSH_CAUSES
+        assert set(st.solve_latency_by_kind) == {"eigen", "svd"}
+        for name in ("adaptive", "limits", "tuning"):
+            assert not hasattr(st, name)
 
+    def test_limits_never_move_when_disabled(self):
+        """Whatever the traffic, the batcher keeps the constructor's
+        limits and no release exceeds ``max_batch``."""
+        with JacobiService(d=1, max_batch=2, max_delay=0.01) as svc:
+            svc.solve_many(_mats(8, 10))
+            for A in _mats(8, 3, seed=1):
+                assert svc.submit(A).result(timeout=30.0).converged
+            assert (svc._batcher.max_batch, svc._batcher.max_delay) \
+                == (2, 0.01)
+            st = svc.stats()
+        assert st.flushes["forced"] == 5
+        assert st.mean_batch_size <= 2.0
 
-class TestHysteresisPolicy:
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            HysteresisPolicy(grow=1.0)
-        with pytest.raises(SimulationError):
-            HysteresisPolicy(shrink=1.0)
-
-
-class TestController:
-    def test_deadline_dominated_shrinks_delay(self, clock):
-        ctl = _controller(clock, window=4)
-        decision = None
-        for _ in range(4):
-            decision = ctl.observe(_event(cause="deadline")) or decision
-        assert decision is not None
-        assert decision.delay_from == 0.02
-        assert decision.delay_to == pytest.approx(0.01)
-        assert decision.batch_to == decision.batch_from == 8
-        assert "deadline-dominated" in decision.reason
-
-    def test_saturation_grows_batch(self, clock):
-        ctl = _controller(clock, window=4)
-        decision = None
-        for _ in range(4):
-            decision = ctl.observe(
-                _event(cause="size", items=range(8), queued_after=5)
-            ) or decision
-        assert decision is not None
-        assert (decision.batch_from, decision.batch_to) == (8, 16)
-        assert decision.delay_to == decision.delay_from
-        assert "size-saturated" in decision.reason
-
-    def test_size_without_backlog_is_not_saturation(self, clock):
-        """Full batches with an empty queue behind them are healthy —
-        no retune."""
-        ctl = _controller(clock, window=4)
-        for _ in range(8):
-            assert ctl.observe(
-                _event(cause="size", items=range(8), queued_after=0)
-            ) is None
-
-    def test_no_decision_before_window_fills(self, clock):
-        ctl = _controller(clock, window=5)
-        for _ in range(4):
-            assert ctl.observe(_event(cause="deadline")) is None
-
-    def test_hysteresis_one_decision_per_window(self, clock):
-        """12 deadline flushes with window 4 yield exactly 3 retunes —
-        never one per flush, so the limits cannot chatter."""
-        ctl = _controller(clock, window=4)
-        decisions = [ctl.observe(_event(cause="deadline"))
-                     for _ in range(12)]
-        applied = [d for d in decisions if d is not None]
-        assert len(applied) == 3
-        # geometric, monotone, no oscillation
-        delays = [d.delay_to for d in applied]
-        assert delays == pytest.approx([0.01, 0.005, 0.0025])
-
-    def test_mixed_window_below_threshold_keeps_limits(self, clock):
-        """A window split 50/50 between healthy size flushes and
-        deadline flushes stays put (deadline ratio not reached once
-        saturation isn't either)."""
-        ctl = _controller(
-            clock, window=4,
-            policy=HysteresisPolicy(deadline_ratio=0.75))
-        causes = ["size", "deadline", "size", "deadline"]
-        for cause in causes:
-            assert ctl.observe(_event(cause=cause, queued_after=0)) is None
-
-    def test_bounds_respected(self, clock):
-        bounds = TuningBounds(min_batch=1, max_batch=12,
-                              min_delay=0.015, max_delay=0.1)
-        ctl = _controller(clock, window=2, bounds=bounds)
-        # delay 0.02 -> clamped at 0.015, then pinned (no further event)
-        d1 = [ctl.observe(_event(cause="deadline")) for _ in range(2)][-1]
-        assert d1.delay_to == pytest.approx(0.015)
-        for _ in range(4):
-            assert ctl.observe(_event(cause="deadline",
-                                      limit_delay=0.015)) is None
-        # batch 8 -> 12 (clamped from 16), then pinned
-        d2 = [ctl.observe(_event(cause="size", items=range(8),
-                                 queued_after=3)) for _ in range(2)][-1]
-        assert d2.batch_to == 12
-        for _ in range(4):
-            assert ctl.observe(_event(cause="size", items=range(12),
-                                      queued_after=3,
-                                      limit_batch=12)) is None
-
-    def test_keys_tuned_independently(self, clock):
-        ctl = _controller(clock, window=2)
-        ctl.observe(_event(key="a", cause="deadline"))
-        ctl.observe(_event(key="b", cause="size", items=range(8),
-                           queued_after=2))
-        da = ctl.observe(_event(key="a", cause="deadline"))
-        db = ctl.observe(_event(key="b", cause="size", items=range(8),
-                                queued_after=2))
-        assert da.delay_to == pytest.approx(0.01) and da.batch_to == 8
-        assert db.batch_to == 16 and db.delay_to == pytest.approx(0.02)
-        assert ctl.limits() == {"a": (8, 0.01), "b": (16, 0.02)}
-
-    def test_trace_records_applied_retunes(self, clock):
-        ctl = _controller(clock, window=2)
-        clock.advance(1.5)
-        for _ in range(2):
-            ctl.observe(_event(cause="deadline"))
-        trace = ctl.trace()
-        assert len(trace) == 1
-        assert trace[0].time == pytest.approx(1.5)
-        assert trace[0].key == "k"
-
-    def test_latency_floor_stops_shrinking_below_solve_cost(self, clock):
-        """With latency_floor set, max_delay never shrinks below a
-        multiple of the observed solve latency."""
-        ctl = _controller(clock, window=2,
-                          policy=HysteresisPolicy(latency_floor=1.0))
-        decision = None
-        for _ in range(8):
-            decision = ctl.observe(_event(cause="deadline"),
-                                   solve_latency=0.008) or decision
-        assert decision.delay_to == pytest.approx(0.008)
-
-    def test_custom_policy_is_pluggable(self, clock):
-        def always_double(window, batch, delay, bounds):
-            return (batch * 2, delay, "custom")
-
-        ctl = _controller(clock, window=1, policy=always_double)
-        decision = ctl.observe(_event())
-        assert decision.batch_to == 16
-        assert decision.reason == "custom"
-
-    def test_window_validation(self, clock):
-        with pytest.raises(SimulationError):
-            AdaptiveController(window=0, clock=clock)
+    def test_fixed_and_adaptive_results_bit_identical(self):
+        """Dispatch timing changes *when* flushes happen, never *what*
+        a flush computes: forced ``max_batch`` chunks and one idle
+        release per submission resolve to byte-identical results."""
+        mats = _mats(16, 8, seed=11)
+        with JacobiService(d=2, max_batch=4, max_delay=0.02) as svc:
+            chunked = svc.solve_many(mats)
+            assert svc.stats().flushes["forced"] == 2
+        with JacobiService(d=2, max_batch=4, max_delay=60.0) as svc:
+            streamed = [svc.submit(A).result(timeout=30.0) for A in mats]
+            assert svc.stats().flushes["idle"] == len(mats)
+        for a, b in zip(chunked, streamed):
+            assert np.array_equal(a.eigenvalues, b.eigenvalues)
+            assert np.array_equal(a.eigenvectors, b.eigenvectors)
+            assert a.sweeps == b.sweeps
 
 
 class TestServiceIntegration:
-    """adaptive=True on the real service: tuning visible in stats(),
-    results still bit-identical to the sequential solver."""
+    """Dispatch on the real service: trickle latency, burst batching
+    and the ``max_batch`` ceiling, results bit-identical throughout."""
 
     def test_trickle_shrinks_delay_and_stays_bit_identical(self):
+        """Each lone trickle submission leaves as an idle release, so a
+        30 s ``max_delay`` adds no wait, and every result matches the
+        sequential solver bit for bit."""
         mats = _mats(16, 14, seed=7)
-        with JacobiService(d=2, max_batch=16, max_delay=0.03,
-                           adaptive=True, tuning_window=4) as svc:
-            results = [svc.submit(A).result(timeout=30.0) for A in mats]
+        with JacobiService(d=2, max_batch=16, max_delay=30.0) as svc:
+            results = [svc.submit(A).result(timeout=10.0) for A in mats]
             st = svc.stats()
-        assert st.adaptive is True
-        assert len(st.tuning) >= 1
-        assert all("shrink max_delay" in ev.reason for ev in st.tuning)
-        key = ("eigen", 16, "degree4", 2)
-        assert key in st.limits
-        assert st.limits[key][1] < 0.03
+        assert st.flushes == {"size": 0, "deadline": 0, "idle": 14,
+                              "forced": 0}
         assert st.solve_latency_by_kind["eigen"] > 0.0
         seq = ParallelOneSidedJacobi(get_ordering("degree4", 2))
         for A, r in zip(mats, results):
             assert np.array_equal(seq.solve(A).eigenvalues, r.eigenvalues)
 
     def test_burst_grows_batch(self):
-        mats = _mats(16, 60, seed=8)
-        with JacobiService(d=2, max_batch=2, max_delay=0.05,
-                           adaptive=True, tuning_window=4) as svc:
-            futures = [svc.submit(A) for A in mats]
-            for f in futures:
-                f.result(timeout=30.0)
+        """A burst that lands while the only solver is busy queues up
+        and leaves as one batch when the slot frees."""
+        mats = _mats(16, 11, seed=8)
+        pool = ManualExecutor(workers=1)
+        with JacobiService(d=2, max_batch=16, max_delay=60.0,
+                           executor=pool) as svc, pool:
+            futures = [svc.submit(mats[0])]
+            assert pool.wait_for_calls(1, 30.0)  # idle: the slot was free
+            futures += [svc.submit(A) for A in mats[1:]]
+            assert not pool.wait_for_calls(2, 0.2)  # the slot is busy
+            assert svc.stats().queue_depth == 10
+            pool.resolve_all()
+            assert pool.wait_for_calls(2, 30.0)
+            pool.release()
+            results = [f.result(timeout=30.0) for f in futures]
             st = svc.stats()
-        grown = [ev for ev in st.tuning if ev.batch_to > ev.batch_from]
-        assert grown, f"no batch growth in trace {st.tuning}"
-        key = ("eigen", 16, "degree4", 2)
-        assert st.limits[key][0] > 2
+        assert st.flushes == {"size": 0, "deadline": 0, "idle": 2,
+                              "forced": 0}
+        assert st.mean_batch_size == pytest.approx(5.5)  # 1, then 10
+        seq = ParallelOneSidedJacobi(get_ordering("degree4", 2))
+        for A, r in zip(mats, results):
+            assert np.array_equal(seq.solve(A).eigenvalues, r.eigenvalues)
 
     def test_bounds_cap_the_service_tuning(self):
-        bounds = TuningBounds(min_batch=1, max_batch=4,
-                              min_delay=0.02, max_delay=0.05)
-        mats = _mats(16, 40, seed=9)
-        with JacobiService(d=2, max_batch=2, max_delay=0.05,
-                           adaptive=True, tuning_bounds=bounds,
-                           tuning_window=2) as svc:
-            futures = [svc.submit(A) for A in mats]
+        """``max_batch`` bounds every release: a burst behind a busy
+        solver leaves as full size flushes plus an idle remainder."""
+        mats = _mats(8, 11, seed=9)
+        pool = ManualExecutor(workers=1)
+        with JacobiService(d=1, max_batch=4, max_delay=60.0,
+                           executor=pool, trace=True) as svc, pool:
+            futures = [svc.submit(mats[0])]
+            assert pool.wait_for_calls(1, 30.0)
+            futures += [svc.submit(A) for A in mats[1:]]
+            assert pool.wait_for_calls(3, 30.0)  # size-ready go anyway
+            assert svc.stats().queue_depth == 2
+            pool.resolve_all()
+            assert pool.wait_for_calls(4, 30.0)
+            pool.release()
             for f in futures:
-                f.result(timeout=30.0)
+                assert f.result(timeout=30.0).converged
             st = svc.stats()
-        for batch, delay in st.limits.values():
-            assert 1 <= batch <= 4
-            assert 0.02 <= delay <= 0.05
-
-
-class TestNonAdaptiveRegression:
-    """adaptive=False must be exactly the pre-adaptive service."""
-
-    def test_stats_shape_when_disabled(self):
-        with JacobiService(d=1, max_delay=0.01) as svc:
-            svc.solve_many(_mats(8, 3))
-            st = svc.stats()
-        assert st.adaptive is False
-        assert st.tuning == ()
-        assert st.limits == {}
-        assert st.solve_latency_by_kind["eigen"] > 0.0
-        assert st.solve_latency_by_kind["svd"] == 0.0
-
-    def test_limits_never_move_when_disabled(self):
-        with JacobiService(d=1, max_batch=2, max_delay=0.01) as svc:
-            svc.solve_many(_mats(8, 10))
-            assert svc._batcher.overrides() == {}
-            assert svc._batcher.limits_for(("eigen", 8, "degree4", 1)) \
-                == (2, 0.01)
-
-    def test_fixed_and_adaptive_results_bit_identical(self):
-        """Tuning changes *when* flushes happen, never *what* a flush
-        computes: the same submissions resolve to byte-identical
-        results either way."""
-        mats = _mats(16, 8, seed=11)
-        with JacobiService(d=2, max_batch=4, max_delay=0.02) as svc:
-            fixed = svc.solve_many(mats)
-        with JacobiService(d=2, max_batch=4, max_delay=0.02,
-                           adaptive=True, tuning_window=2) as svc:
-            adaptive = svc.solve_many(mats)
-        for a, b in zip(fixed, adaptive):
-            assert np.array_equal(a.eigenvalues, b.eigenvalues)
-            assert np.array_equal(a.eigenvectors, b.eigenvectors)
-            assert a.sweeps == b.sweeps
+        assert st.flushes == {"size": 2, "deadline": 0, "idle": 2,
+                              "forced": 0}
+        sizes = [e.meta["size"] for e in svc.trace().events
+                 if e.stage == "flush"]
+        assert sizes == [1, 4, 4, 2]
 
 
 class TestRetuneWakesDispatcher:
-    """Regression (ISSUE 8): ``_observe`` must notify the service
-    condition when a retune shrinks a key's max_delay — a dispatcher
-    already sleeping on the *old* ``next_deadline()`` would otherwise
-    wait out the stale (longer) timeout, making the first post-retune
-    flush late by the old delay.  The normal completion path masks the
-    bug (``_settle`` runs right after ``_observe`` and also notifies),
-    so the test feeds the observation in directly, exactly as the
-    completion callback would."""
+    """A dispatcher asleep on a far deadline must wake as soon as a
+    solver slot frees up.  ``_settle`` notifies the service condition,
+    so the woken dispatcher takes the queued group as an idle release
+    instead of sleeping out the stale timeout."""
 
     def test_shrunk_delay_wakes_sleeping_dispatcher(self):
-        import time
-
         # Frozen fake clock: the dispatcher computes its wait timeout
         # as next_deadline - clock(), so the queued item's deadline
         # stands a full max_delay (5 real seconds) away and never
         # drifts closer.  Only a condition notify can release the
-        # dispatcher early — which is exactly what the retune must do.
+        # dispatcher early, which is what a settled flush must do.
         clock = FakeClock()
-        ex = ManualExecutor()
-        key = ("eigen", 8, "degree4", 1)
-        svc = JacobiService(
-            d=1, max_batch=2, max_delay=5.0, adaptive=True,
-            tuning_window=1,
-            tuning_policy=lambda window, batch, delay, bounds:
-                (2, 0.0, "test-shrink"),
-            tuning_bounds=TuningBounds(min_batch=1, max_batch=16,
-                                       min_delay=0.0, max_delay=5.0),
-            executor=ex, clock=clock)
-        try:
-            fut = svc.submit(_mats(8, 1)[0])
-            # Give the dispatcher time to park on the stale 5-second
-            # deadline.  A real sleep, not a handshake: the service
-            # condition is the very thing under test, so the test
-            # cannot wait on it without tainting the result.
+        pool = ManualExecutor(workers=1)
+        first, second = _mats(8, 2)
+        with JacobiService(d=1, max_batch=4, max_delay=5.0,
+                           executor=pool, clock=clock) as svc, pool:
+            futures = [svc.submit(first)]
+            assert pool.wait_for_calls(1, 30.0)
+            futures.append(svc.submit(second))
+            # Give the dispatcher time to park on the 5-second deadline.
+            # A real sleep, not a handshake: the service condition is
+            # the very thing under test.
             time.sleep(0.3)
-            assert not ex.calls  # still batching behind the old delay
-            # Feed a fabricated flush observation straight into the
-            # tuning loop, as the completion callback would after a
-            # solve.  The policy shrinks the key's delay to 0, so the
-            # queued item is now overdue — but only a notified
-            # dispatcher learns that before the stale timeout expires.
-            svc._observe(_event(key=key, cause="size", items=(0,),
-                                waited=0.0, limit_batch=2,
-                                limit_delay=5.0), 0.01)
-            assert ex.wait_for_calls(1, timeout=2.0), \
-                "dispatcher slept through the retune: the shrunk " \
-                "max_delay did not wake it off the stale deadline"
-            ex.resolve_all()
-            assert fut.result(timeout=10.0).converged
-        finally:
-            # Anything still queued dispatches during close-drain, so
-            # flip the executor to resolve-on-submit first.
-            ex.auto = True
-            ex.resolve_all()
-            svc.close()
+            assert len(pool.calls) == 1  # every slot is busy
+            pool.resolve_all()
+            assert pool.wait_for_calls(2, timeout=2.0), \
+                "dispatcher slept through the freed slot: the settled " \
+                "flush did not wake it off the stale deadline"
+            pool.release()
+            for f in futures:
+                assert f.result(timeout=10.0).converged
+            assert svc.stats().flushes["idle"] == 2
