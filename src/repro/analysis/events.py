@@ -14,16 +14,21 @@ analysable with one toolchain.
 For service traces the module also derives the analyses the raw events
 exist for:
 
-* :func:`validate_lifecycles` — every request must march through the
-  stage partial order (``submit -> admitted/rejected -> enqueued ->
-  expired/shed | flushed -> dispatched -> solved -> merged ->
-  resolved/failed``) with monotone timestamps and exactly one terminal
-  stage;
+* :data:`LIFECYCLE` — the request lifecycle, declared once: each
+  stage's rank in the partial order ``submit -> admitted/rejected ->
+  enqueued -> expired/shed | flushed -> dispatched -> solved -> merged
+  -> resolved/failed/cancelled`` and the ledger bucket a request enters
+  there.  The service's ``stats()`` counters, its trace events, the
+  gateway's per-tenant ledger and every analysis below are moves
+  through, or reads of, this one table;
+* :func:`validate_lifecycles` — every request must follow that order
+  with monotone timestamps and exactly one terminal stage;
 * :func:`request_spans` / :func:`stage_percentiles` — per-request
   latency breakdowns (queue-wait vs dispatch vs solve vs merge) and
   their distribution;
 * :func:`worker_utilisation` — per-worker busy time reconstructed from
-  ``solved`` events.
+  ``solved`` events;
+* :func:`tenant_breakdown` — per-tenant ledger buckets and latency.
 
 Simulator traces round-trip losslessly: :func:`comm_trace_to_timeline`
 maps every :class:`~repro.simulator.trace.CommRecord` onto one event
@@ -34,21 +39,24 @@ maps every :class:`~repro.simulator.trace.CommRecord` onto one event
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import SimulationError
+from ..errors import QueueFull, QuotaExceeded, ShedError, SimulationError
 from ..simulator.trace import CommRecord, CommunicationTrace
 
 __all__ = [
     "TRACE_SCHEMA",
+    "LIFECYCLE",
     "REQUEST_STAGES",
     "TERMINAL_STAGES",
     "TRANSPORT_STAGES",
     "TraceEvent",
     "EventTimeline",
+    "settled_bucket",
     "validate_lifecycles",
     "request_spans",
     "stage_percentiles",
@@ -62,30 +70,50 @@ __all__ = [
 #: by :meth:`EventTimeline.from_json`.
 TRACE_SCHEMA = "repro-trace/v1"
 
-#: Partial order of the per-request lifecycle stages: a request's events
-#: must carry non-decreasing ranks (several stages share a rank when
-#: either may legitimately come first).  Stages outside this map —
-#: batch-level ``"flush"`` and the :data:`TRANSPORT_STAGES`, gate-level
-#: ``"overload"``, and the simulator's record kinds — are not request
-#: lifecycle stages and are ignored by :func:`validate_lifecycles`.
-REQUEST_STAGES: Dict[str, int] = {
-    "submit": 0,
-    "admitted": 1,
-    "rejected": 1,
-    "enqueued": 2,
-    "expired": 3,
-    "flushed": 3,
-    "shed": 4,
-    "dispatched": 4,
-    "solved": 5,
-    "merged": 6,
-    "resolved": 7,
-    "failed": 7,
+#: The request lifecycle, declared once: stage -> (rank, the ledger
+#: bucket a request enters there or ``None``).  A request's ranks never
+#: decrease (stages share a rank when either may come first).
+#: ``"enqueued"`` enters the open bucket; each other bucket is entered,
+#: from it, at the one terminal stage that settles the request —
+#: ``"shed"`` (``"cancelled"`` if the caller cancelled first) together
+#: with ``"expired"``, so the freed capacity counts at once.  The gateway emits its refusals (``"throttled"``, and
+#: ``"rejected"`` for priority headroom) without a request id;
+#: ``"throttled"`` has no rank because it never belongs to a service
+#: request.  Other stages (``"flush"``, ``"overload"``,
+#: :data:`TRANSPORT_STAGES`, simulator records) are not request
+#: lifecycle stages.
+LIFECYCLE: Dict[str, Tuple[Optional[int], Optional[str]]] = {
+    "submit": (0, None),
+    "admitted": (1, None),
+    "rejected": (1, "rejected"),
+    "throttled": (None, "throttled"),
+    "enqueued": (2, "open"),
+    "expired": (3, None),
+    "flushed": (3, None),
+    "shed": (4, "shed"),
+    "dispatched": (4, None),
+    "solved": (5, None),
+    "merged": (6, None),
+    "resolved": (7, "completed"),
+    "failed": (7, "failed"),
+    "cancelled": (7, "cancelled"),
 }
 
-#: Stages that end a request's lifecycle; every traced request must
-#: reach exactly one of them.
-TERMINAL_STAGES = frozenset({"rejected", "shed", "resolved", "failed"})
+#: The ranked stages of :data:`LIFECYCLE` — the partial order
+#: :func:`validate_lifecycles` checks.
+REQUEST_STAGES: Dict[str, int] = {
+    stage: rank for stage, (rank, _) in LIFECYCLE.items()
+    if rank is not None}
+
+#: Stages that end a request's lifecycle — those entering a settled
+#: bucket; every traced request must reach exactly one of them.
+TERMINAL_STAGES = frozenset(
+    stage for stage in REQUEST_STAGES
+    if LIFECYCLE[stage][1] not in (None, "open"))
+
+#: Stage -> the ledger bucket it enters, for the stages that enter one.
+_BUCKET_OF = {stage: bucket for stage, (_, bucket) in LIFECYCLE.items()
+              if bucket is not None}
 
 #: Batch-level data-plane edges emitted by a shared-memory transport
 #: (see :mod:`repro.service.transport`): ``"attached"`` when a flush's
@@ -263,6 +291,28 @@ class EventTimeline:
 # ----------------------------------------------------------------------
 # Service-trace analyses
 # ----------------------------------------------------------------------
+#: Exceptions that settle a request in a bucket other than ``failed``.
+_ERROR_BUCKETS = ((ShedError, "shed"), (QueueFull, "rejected"),
+                  (QuotaExceeded, "throttled"))
+
+
+def settled_bucket(future: Any) -> str:
+    """The ledger bucket a done (concurrent or asyncio) ``future``
+    settles its request in: ``"cancelled"``, ``"completed"``, ``"shed"``
+    (:class:`~repro.errors.ShedError`), ``"rejected"``
+    (:class:`~repro.errors.QueueFull`), ``"throttled"``
+    (:class:`~repro.errors.QuotaExceeded`) or ``"failed"``."""
+    if future.cancelled():
+        return "cancelled"
+    exc = future.exception()
+    if exc is None:
+        return "completed"
+    for error, bucket in _ERROR_BUCKETS:
+        if isinstance(exc, error):
+            return bucket
+    return "failed"
+
+
 def validate_lifecycles(timeline: EventTimeline) -> Dict[int, str]:
     """Check every traced request for a complete, ordered lifecycle.
 
@@ -319,7 +369,7 @@ def request_spans(timeline: EventTimeline) -> Dict[int, Dict[str, Any]]:
         stages bounding them — ``queue`` is enqueued->flushed,
         ``dispatch`` flushed->dispatched, ``solve`` the solved event's
         measured ``elapsed`` (falling back to dispatched->solved),
-        ``merge`` solved->settled, ``total`` submit->terminal — and
+        ``merge`` solved->terminal, ``total`` submit->terminal — and
         ``None`` when the request never reached the bounding stages
         (e.g. a rejected request has only ``total``).
     """
@@ -341,19 +391,13 @@ def request_spans(timeline: EventTimeline) -> Dict[int, Dict[str, Any]]:
             solve = first["solved"].meta.get("elapsed")
             if solve is None:
                 solve = _gap("dispatched", "solved")
-        settled = next((s for s in ("resolved", "failed") if s in first),
-                       None)
-        total = None
-        if terminal != "open" and "submit" in first:
-            total = first[terminal].t - first["submit"].t
         out[req] = {
             "outcome": terminal,
             "queue": _gap("enqueued", "flushed"),
             "dispatch": _gap("flushed", "dispatched"),
             "solve": solve,
-            "merge": (_gap("solved", settled)
-                      if settled is not None else None),
-            "total": total,
+            "merge": _gap("solved", terminal),
+            "total": _gap("submit", terminal),
         }
     return out
 
@@ -445,10 +489,11 @@ def tenant_breakdown(timeline: EventTimeline,
     """Per-tenant request accounting over a shared timeline.
 
     A request belongs to the tenant stamped on its events (its first
-    tenant-carrying event wins; requests without one are excluded).
-    Gateway-level ``"throttled"`` events — quota denials that never
-    became service requests — are counted per tenant as well, so the
-    breakdown shows both who got service and who was held back.
+    tenant-carrying event wins; requests without one are excluded) and
+    lands in the :data:`LIFECYCLE` bucket of its terminal stage
+    (``"open"`` while it has none); a request-less gateway refusal
+    lands in its stage's bucket.  The counts are thus the gateway's
+    :class:`~repro.service.gateway.TenantStats` for the same run.
 
     Parameters
     ----------
@@ -461,49 +506,42 @@ def tenant_breakdown(timeline: EventTimeline,
     Returns
     -------
     dict
-        ``tenant -> {"requests", "outcomes", "throttled", "total"}`` —
-        service requests attributed to the tenant, their terminal
-        outcome counts (``resolved`` / ``rejected`` / ``shed`` /
-        ``failed`` / ``open``), gateway throttles, and the solved-only
-        (``resolved``) total-latency distribution ``{"count", "mean",
-        "p50", "p99", ...}`` in seconds (absent when the tenant had no
-        resolved request).
+        ``tenant -> {"requests", "outcomes", <bucket>..., "total"}`` —
+        service requests attributed to the tenant, their terminal stage
+        (or ``open``) counts, one count per ledger bucket, and the
+        solved-only (``resolved``) total-latency distribution
+        ``{"count", "mean", "p50", "p99", ...}`` in seconds (absent
+        when the tenant had no resolved request).
     """
+    out: Dict[str, Dict[str, Any]] = defaultdict(lambda: {
+        "requests": 0, "outcomes": {},
+        **dict.fromkeys(_BUCKET_OF.values(), 0)})
     tenant_of: Dict[int, str] = {}
-    throttled: Dict[str, int] = {}
     for ev in timeline.events:
         if ev.tenant is None:
             continue
         if ev.request is not None:
             tenant_of.setdefault(ev.request, ev.tenant)
-        elif ev.stage == "throttled":
-            throttled[ev.tenant] = throttled.get(ev.tenant, 0) + 1
-
-    def _fresh() -> Dict[str, Any]:
-        return {"requests": 0, "outcomes": {}, "throttled": 0}
-
-    out: Dict[str, Dict[str, Any]] = {}
+        elif ev.stage in _BUCKET_OF:
+            out[ev.tenant][_BUCKET_OF[ev.stage]] += 1
     totals: Dict[str, List[float]] = {}
     spans = request_spans(timeline)
     for req, tenant in tenant_of.items():
-        row = out.setdefault(tenant, _fresh())
+        row = out[tenant]
         row["requests"] += 1
-        span = spans.get(req)
-        if span is None:
-            continue
+        span = spans[req]
         outcome = span["outcome"]
         row["outcomes"][outcome] = row["outcomes"].get(outcome, 0) + 1
+        row[_BUCKET_OF.get(outcome, "open")] += 1
         if outcome == "resolved" and span["total"] is not None:
             totals.setdefault(tenant, []).append(float(span["total"]))
-    for tenant, count in throttled.items():
-        out.setdefault(tenant, _fresh())["throttled"] = count
     for tenant, values in totals.items():
         arr = np.asarray(values)
         total = {"count": float(arr.size), "mean": float(arr.mean())}
         for p in percentiles:
             total[f"p{p:g}"] = float(np.percentile(arr, p))
         out[tenant]["total"] = total
-    return out
+    return dict(out)
 
 
 # ----------------------------------------------------------------------

@@ -61,12 +61,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import QueueFull, QuotaExceeded, ShedError, SimulationError
+from ..errors import QueueFull, SimulationError
 from ..jacobi.convergence import DEFAULT_TOL
 from ..jacobi.onesided import make_symmetric_test_matrix
 from ..service import AsyncGateway, GatewayConfig, JacobiService
 from ..service.batcher import FLUSH_CAUSES
-from .events import EventTimeline
+from .events import LIFECYCLE, TERMINAL_STAGES, EventTimeline, settled_bucket
 from .report import render_table
 
 __all__ = [
@@ -411,6 +411,13 @@ class LoadResult:
     tenants: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
 
+def _outcome(bucket: str) -> str:
+    """The :attr:`LoadResult.outcomes` word for a ledger bucket: a
+    ``completed`` request is ``"solved"``, every other bucket keeps its
+    name."""
+    return "solved" if bucket == "completed" else bucket
+
+
 def build_trace(scenario: Scenario, items: Optional[int] = None,
                 seed: int = 0) -> List[Arrival]:
     """Generate one scenario's deterministic arrival trace.
@@ -592,7 +599,6 @@ def _replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
         return lambda _fut: _done(i)
 
     backlog: List[int] = []
-    rejected = 0
     with JacobiService(d=d, tol=tol, max_batch=max_batch,
                        max_delay=max_delay, max_queue=max_queue, admission=admission,
                        default_deadline=default_deadline,
@@ -606,9 +612,9 @@ def _replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
             st = svc.stats()
             backlog.append(st.queue_depth + st.inflight)
             try:
-                fut = svc.submit(A, kind=a.kind, deadline=a.deadline)
+                fut = svc.submit(A, kind=a.kind, deadline=a.deadline,
+                                 tenant=a.tenant)
             except QueueFull:
-                rejected += 1
                 _done()  # no future: the submission never existed
                 continue
             futures[i] = fut
@@ -624,15 +630,8 @@ def _replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
     # so reading at all_marked could still miss trailing events).
     timeline = svc.trace() if trace else None
 
-    def _outcome(f: Optional[Any]) -> str:
-        if f is None:
-            return "rejected"
-        exc = f.exception()
-        if exc is None:
-            return "solved"
-        return "shed" if isinstance(exc, ShedError) else "failed"
-
-    outcomes = [_outcome(f) for f in futures]
+    outcomes = ["rejected" if f is None else _outcome(settled_bucket(f))
+                for f in futures]
     solved_idx = [i for i, o in enumerate(outcomes) if o == "solved"]
     shed = outcomes.count("shed")
     skip = int(np.ceil(warmup_frac * n)) if n > 1 else 0
@@ -653,7 +652,8 @@ def _replay(arrivals: Sequence[Arrival], matrices: Sequence[np.ndarray],
         throughput=(len(solved_idx) / makespan if makespan > 0 else 0.0),
         flushes=dict(stats.flushes),
         mean_batch_size=stats.mean_batch_size,
-        solved=len(solved_idx), rejected=rejected, shed=shed,
+        solved=len(solved_idx), rejected=outcomes.count("rejected"),
+        shed=shed,
         peak_backlog=max(backlog) if backlog else 0,
         backlog=backlog[::step], outcomes=outcomes), timeline
 
@@ -812,7 +812,6 @@ def _replay_tenants_row(arrivals: Sequence[Arrival],
     :class:`~repro.service.gateway.AsyncGateway` over one service."""
     n = len(arrivals)
     done_at: List[Optional[float]] = [None] * n
-    outcomes: List[str] = ["failed"] * n
     trace = trace_sink is not None
     with JacobiService(d=2, max_batch=TENANTS_BATCH,
                        max_delay=TENANTS_DELAY, transport=transport,
@@ -820,33 +819,26 @@ def _replay_tenants_row(arrivals: Sequence[Arrival],
         gateway = AsyncGateway(svc, config)
         start = [0.0]
 
-        async def _one(i: int, a: Arrival, A: np.ndarray) -> None:
-            try:
-                await gateway.submit(A, kind=a.kind,
-                                     tenant=a.tenant or "default",
-                                     deadline=a.deadline)
-                outcomes[i] = "solved"
-            except QuotaExceeded:
-                outcomes[i] = "throttled"
-            except QueueFull:
-                outcomes[i] = "rejected"
-            except ShedError:
-                outcomes[i] = "shed"
-            except Exception:
-                outcomes[i] = "failed"
-            done_at[i] = time.monotonic()
+        def _mark(i: int) -> Callable[[Any], None]:
+            return lambda _task: done_at.__setitem__(i, time.monotonic())
 
-        async def _drive() -> None:
+        async def _drive() -> List["asyncio.Task[Any]"]:
             start[0] = time.monotonic()
             tasks = []
             for i, (a, A) in enumerate(zip(arrivals, matrices)):
                 lag = start[0] + a.at - time.monotonic()
                 if lag > 0:
                     await asyncio.sleep(lag)
-                tasks.append(asyncio.ensure_future(_one(i, a, A)))
-            await asyncio.gather(*tasks)
+                task = asyncio.ensure_future(gateway.submit(
+                    A, kind=a.kind, tenant=a.tenant or "default",
+                    deadline=a.deadline))
+                task.add_done_callback(_mark(i))
+                tasks.append(task)
+            await asyncio.gather(*tasks, return_exceptions=True)
+            return tasks
 
-        asyncio.run(_drive())
+        outcomes = [_outcome(settled_bucket(task))
+                    for task in asyncio.run(_drive())]
         gw_stats = gateway.stats()
         stats = svc.stats()
     timeline = svc.trace() if trace else None
@@ -879,10 +871,7 @@ def _replay_tenants_row(arrivals: Sequence[Arrival],
     tenants: Dict[str, Dict[str, Any]] = {}
     for tenant, ts in gw_stats.tenants.items():
         sample = latency_ms.get(tenant, [])
-        row = {"submitted": ts.submitted, "throttled": ts.throttled,
-               "rejected": ts.rejected, "shed": ts.shed,
-               "completed": ts.completed, "failed": ts.failed,
-               "cancelled": ts.cancelled, "measured": len(sample),
+        row = {**asdict(ts), "measured": len(sample),
                "latencies_ms": [round(v, 3) for v in sample]}
         row.update(_pcts(sample))
         tenants[tenant] = row
@@ -1074,12 +1063,6 @@ def arrivals_from_timeline(timeline: EventTimeline) -> List[Arrival]:
     return out
 
 
-#: Terminal lifecycle stage -> per-arrival outcome word (the
-#: vocabulary of :attr:`LoadResult.outcomes`).
-_TERMINAL_OUTCOME = {"resolved": "solved", "rejected": "rejected",
-                     "shed": "shed", "failed": "failed"}
-
-
 def outcomes_from_timeline(timeline: EventTimeline) -> List[str]:
     """Per-request outcomes of a traced run, in submission order.
 
@@ -1098,8 +1081,8 @@ def outcomes_from_timeline(timeline: EventTimeline) -> List[str]:
     """
     outcome: Dict[int, str] = {}
     for ev in timeline.events:
-        if ev.request is not None and ev.stage in _TERMINAL_OUTCOME:
-            outcome[ev.request] = _TERMINAL_OUTCOME[ev.stage]
+        if ev.request is not None and ev.stage in TERMINAL_STAGES:
+            outcome[ev.request] = _outcome(LIFECYCLE[ev.stage][1])
     return [outcome[req] for req in sorted(outcome)]
 
 

@@ -133,7 +133,7 @@ def _cmd_load_bench(args: argparse.Namespace) -> int:
         print(f"replayed {len(replayed)} recorded runs from "
               f"{args.replay}; {matches}/{len(replayed)} outcome "
               f"sequences match")
-        return 0
+        return 0 if matches == len(replayed) else 1
     scenarios = (None if args.scenarios is None
                  else [s.strip() for s in args.scenarios.split(",")
                        if s.strip()])
@@ -171,6 +171,7 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
     import json
 
     from .analysis.events import (
+        LIFECYCLE,
         EventTimeline,
         stage_percentiles,
         tenant_breakdown,
@@ -215,15 +216,14 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
                 row = tenants[tenant]
                 total = row.get("total")
                 tbody.append([
-                    tenant, row["requests"], row["throttled"],
-                    " ".join(f"{k}={v}" for k, v in
-                             sorted(row["outcomes"].items())) or "-",
+                    tenant, row["requests"],
+                    " ".join(f"{b}={row[b]}" for _, b in
+                             LIFECYCLE.values() if b and row[b]) or "-",
                     (f"{total['p50'] * 1e3:,.2f}" if total else "-"),
                     (f"{total['p99'] * 1e3:,.2f}" if total else "-")])
             print()
             print(render_table(
-                ["tenant", "reqs", "throttled", "outcomes", "p50 ms",
-                 "p99 ms"],
+                ["tenant", "reqs", "ledger", "p50 ms", "p99 ms"],
                 tbody, title="per-tenant breakdown"))
         print()
         print(render_worker_timeline(timeline, width=args.width))
@@ -430,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "the recorded arrivals of this trace bundle, "
                          "replay them against the recorded settings "
                          "and report whether the per-request outcomes "
-                         "still match")
+                         "still match (exit status 1 when any run "
+                         "diverges)")
     lb.set_defaults(func=_cmd_load_bench)
 
     tr = sub.add_parser("trace-report",

@@ -208,30 +208,6 @@ class AdmissionGate:
             return None
         return deadline
 
-    def expiry(self, deadline: Optional[float] = None,
-               now: Optional[float] = None) -> Optional[float]:
-        """Absolute expiry for one submission, or ``None``.
-
-        Parameters
-        ----------
-        deadline:
-            The caller's per-request deadline, as for :meth:`ttl`.
-        now:
-            Clock override (defaults to the injected clock).
-
-        Returns
-        -------
-        float or None
-            The clock value to stamp onto the queued item (what
-            :meth:`~repro.service.batcher.MicroBatcher.pop_expired`
-            sheds by), or ``None`` when the item never expires.
-        """
-        ttl = self.ttl(deadline)
-        if ttl is None:
-            return None
-        now = self._clock() if now is None else now
-        return now + ttl
-
 
 def _check_deadline(name: str, value: Optional[float]
                     ) -> Optional[float]:

@@ -54,15 +54,18 @@ queued item whose per-request ``deadline`` lapses resolves to
 runs, never *how*: every admitted matrix stays bit-identical to its
 sequential twin.
 
-Built with ``trace=True`` (or an explicit
-:class:`~repro.service.tracing.Tracer`), the service records one typed
-event per lifecycle edge of every request — ``submit ->
+Every request moves through the one lifecycle table,
+:data:`~repro.analysis.events.LIFECYCLE` — ``submit ->
 admitted/rejected -> enqueued -> expired/shed | flushed -> dispatched
--> solved -> merged -> resolved/failed`` — and :meth:`JacobiService.trace`
-exports them as an :class:`~repro.analysis.events.EventTimeline`
-(JSON-serialisable, analysable with the same toolchain as the
-simulator's communication traces).  Tracing off (the default) costs
-nothing: the instrumented paths reduce to one ``is not None`` check.
+-> solved -> merged -> resolved/failed/cancelled`` — and each move
+(``JacobiService._move``) both updates the ledger :meth:`~JacobiService.stats`
+reads and, built with ``trace=True`` (or an explicit
+:class:`~repro.service.tracing.Tracer`), records one typed event per
+request; :meth:`JacobiService.trace` exports them as an
+:class:`~repro.analysis.events.EventTimeline` (JSON-serialisable,
+analysable with the same toolchain as the simulator's communication
+traces).  Tracing off (the default) costs one ``is not None`` check
+per move.
 
 Example
 -------
@@ -83,14 +86,17 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import defaultdict
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import (Any, Callable, Dict, Hashable, Iterable, List,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
-from ..analysis.events import EventTimeline
+from ..analysis.events import LIFECYCLE, EventTimeline
 from ..errors import QueueFull, ShedError, SimulationError
 from ..jacobi.convergence import DEFAULT_TOL
 from ..jacobi.svd import SvdResult
@@ -216,6 +222,15 @@ class _Item:
     req: int = -1
     kind: str = "eigen"
     tenant: Optional[str] = None
+
+
+#: The ledger: ``submitted`` and every bucket of the lifecycle table
+#: (``"open"``: the queued and in-flight items admission counts).
+_LEDGER = ("submitted",) + tuple(
+    bucket for _, bucket in LIFECYCLE.values() if bucket is not None)
+
+#: Bucket moves up to this rank admit a submission; later ones settle.
+_ADMISSION_RANK = LIFECYCLE["enqueued"][0]
 
 
 class JacobiService:
@@ -364,17 +379,11 @@ class JacobiService:
         self._thread: Optional[threading.Thread] = None
         self._closed = False
         self._force = False
-        self._inflight = 0
-        self._submitted = 0
-        self._completed = 0
-        self._failed = 0
-        self._cancelled = 0
-        self._rejected = 0
-        self._shed = 0
+        self._ledger = dict.fromkeys(_LEDGER, 0)
         self._pending_remote: Dict["Future[Any]", List["_Item"]] = {}
         self._flushes = {cause: 0 for cause in FLUSH_CAUSES}
         self._submitted_by_kind = {kind: 0 for kind in KINDS}
-        self._submitted_by_tenant: Dict[str, int] = {}
+        self._submitted_by_tenant: Dict[str, int] = defaultdict(int)
         self._batched_items = 0
         self._first_submit: Optional[float] = None
         self._next_request = 0
@@ -461,33 +470,32 @@ class JacobiService:
         # A bad deadline fails here, with the matrix: before any trace
         # event, counter move or "block" wait.
         ttl = self._gate.ttl(deadline)
-        future: "Future[Any]" = Future()
+        item = _Item(matrix=A, future=Future(), kind=kind, tenant=tenant)
+        traced = self._tracer is not None
+        ledger = self._ledger
         shed: List[_Item] = []
         try:
             with self._cond:
                 if self._closed:
                     raise SimulationError("service is closed")
-                req = self._next_request
+                item.req = self._next_request
                 self._next_request += 1
-                if self._tracer is not None:
-                    # n/m record the arrival's shape so a trace-driven
-                    # replay can regenerate an equivalent workload.
-                    self._tracer.emit("submit", request=req, kind=kind,
-                                      key=key, tenant=tenant,
-                                      meta={"deadline": deadline,
-                                            "n": int(A.shape[0]),
-                                            "m": int(A.shape[1])})
-                decision = self._gate.decide(self._inflight)
+                # n/m record the arrival's shape so a trace-driven
+                # replay can regenerate an equivalent workload.
+                self._move((item,), "submit", key=key, meta={
+                    "deadline": deadline, "n": int(A.shape[0]),
+                    "m": int(A.shape[1])} if traced else None)
+                decision = self._gate.decide(ledger["open"])
                 if decision.action == "shed":
                     # At capacity under the shed policy: drop expired
                     # queued items to make room before giving up.
                     shed = self._pop_expired_locked()
                     decision = AdmissionDecision(
-                        "admit" if self._inflight < self._gate.max_queue
+                        "admit" if ledger["open"] < self._gate.max_queue
                         else "reject")
                 elif decision.action == "block":
                     while (not self._closed
-                           and self._inflight >= self._gate.max_queue):
+                           and ledger["open"] >= self._gate.max_queue):
                         remaining = decision.give_up - self._clock()
                         if remaining <= 0:
                             break
@@ -496,65 +504,37 @@ class JacobiService:
                     # close() during the wait gives up like a timeout:
                     # a rejection on the ledger, raised as closed below.
                     decision = AdmissionDecision(
-                        "admit" if (not self._closed and self._inflight
+                        "admit" if (not self._closed and ledger["open"]
                                     < self._gate.max_queue)
                         else "reject")
                 if decision.action == "reject":
-                    # A rejected submission is still a submission: the
-                    # ledger identity (submitted == accounted, see
-                    # ServiceStats) needs both sides to move together.
-                    if self._first_submit is None:
-                        self._first_submit = self._clock()
-                    self._submitted += 1
-                    self._submitted_by_kind[kind] += 1
-                    if tenant is not None:
-                        self._submitted_by_tenant[tenant] = \
-                            self._submitted_by_tenant.get(tenant, 0) + 1
-                    self._rejected += 1
-                    if self._tracer is not None:
-                        self._tracer.emit(
-                            "rejected", request=req, kind=kind, key=key,
-                            tenant=tenant,
-                            meta={"used": self._inflight,
-                                  "max_queue": self._gate.max_queue,
-                                  "policy": self._gate.policy,
-                                  "closed": self._closed})
+                    self._move((item,), "rejected", key=key, meta={
+                        "used": ledger["open"],
+                        "max_queue": self._gate.max_queue,
+                        "policy": self._gate.policy,
+                        "closed": self._closed} if traced else None)
                     if self._closed:
                         raise SimulationError("service is closed")
                     raise QueueFull(
-                        f"service queue full: {self._inflight} items "
+                        f"service queue full: {ledger['open']} items "
                         f"queued or in flight at max_queue="
                         f"{self._gate.max_queue} "
                         f"({self._gate.policy} policy)")
-                if self._tracer is not None:
-                    self._tracer.emit("admitted", request=req, kind=kind,
-                                      key=key, tenant=tenant)
-                # Queue first, then move the counters: an exception
-                # from the batcher must not leak a phantom in-flight
-                # item that close() would wait on forever.
+                self._move((item,), "admitted", key=key)
+                # Queue first, then move the ledger: an exception from
+                # the batcher must not leak a phantom in-flight item
+                # that close() would wait on forever.
                 self._batcher.submit(
-                    key, _Item(matrix=A, future=future, req=req,
-                               kind=kind, tenant=tenant),
+                    key, item,
                     expires=None if ttl is None else self._clock() + ttl)
-                if self._first_submit is None:
-                    self._first_submit = self._clock()
-                self._submitted += 1
-                self._submitted_by_kind[kind] += 1
-                if tenant is not None:
-                    self._submitted_by_tenant[tenant] = \
-                        self._submitted_by_tenant.get(tenant, 0) + 1
-                self._inflight += 1
-                if self._tracer is not None:
-                    self._tracer.emit(
-                        "enqueued", request=req, kind=kind, key=key,
-                        tenant=tenant,
-                        meta={"queued": self._batcher.pending(),
-                              "inflight": self._inflight})
+                self._move((item,), "enqueued", key=key, meta={
+                    "queued": self._batcher.pending(),  # with this item
+                    "inflight": ledger["open"] + 1} if traced else None)
                 self._ensure_thread()
                 self._cond.notify_all()
         finally:
             self._resolve_shed(shed)
-        return future
+        return item.future
 
     def solve_many(self, matrices: Sequence[np.ndarray], *,
                    kind: str = "eigen",
@@ -632,40 +612,67 @@ class JacobiService:
     def _pop_expired_locked(self) -> List[_Item]:
         """Drop every expired queued item (caller holds ``_cond``).
 
-        Accounts the drop — ``shed`` counter up, in-flight down — and
-        wakes any ``"block"``-policy waiter.
-        The returned items' futures are still unresolved; the caller
-        must hand them to :meth:`_resolve_shed` *after* releasing the
-        lock.
+        Moves each drop through ``expired`` to ``shed`` — or to
+        ``cancelled`` when the caller already cancelled its future —
+        so the freed capacity counts at once, and wakes any
+        ``"block"``-policy waiter.  The shed items' futures are marked
+        running, so they can no longer be cancelled, but are still
+        unresolved; the caller must hand them to :meth:`_resolve_shed`
+        *after* releasing the lock.
         """
         dropped = self._batcher.pop_expired()
         if not dropped:
             return []
-        if self._tracer is not None:
-            for key, item in dropped:
-                self._tracer.emit("expired", request=item.req,
-                                  kind=item.kind, key=key,
-                                  tenant=item.tenant)
-        self._shed += len(dropped)
-        self._inflight -= len(dropped)
+        shed: List[_Item] = []
+        cancelled: List[_Item] = []
+        for key, item in dropped:
+            self._move((item,), "expired", key=key)
+            running = item.future.set_running_or_notify_cancel()
+            (shed if running else cancelled).append(item)
+        self._move(shed, "shed")
+        self._move(cancelled, "cancelled")
         self._cond.notify_all()
-        return [item for _, item in dropped]
+        return shed
 
     def _resolve_shed(self, items: List[_Item]) -> None:
         """Resolve shed items' futures to ShedError (without ``_cond``
         held — future done-callbacks run inline here)."""
-        if not items:
-            return
         for item in items:
-            try:
-                item.future.set_exception(ShedError(
-                    "request deadline lapsed before its micro-batch "
-                    "flushed; the item was shed, not solved"))
-            except InvalidStateError:
-                pass  # caller cancelled the future; shed anyway
-            if self._tracer is not None:
-                self._tracer.emit("shed", request=item.req,
-                                  kind=item.kind, tenant=item.tenant)
+            item.future.set_exception(ShedError(
+                "request deadline lapsed before its micro-batch "
+                "flushed; the item was shed, not solved"))
+
+    def _move(self, items: Sequence[_Item], stage: str, *,
+              key: Optional[Hashable] = None, batch: Optional[int] = None,
+              worker: Optional[str] = None,
+              meta: Optional[Dict[str, Any]] = None) -> None:
+        """Move ``items`` to lifecycle ``stage``: the ledger update its
+        :data:`~repro.analysis.events.LIFECYCLE` row declares (under
+        ``_cond``), then one trace event per item, sharing ``meta``.
+        ``flushed`` also counts one flush of ``meta["cause"]``."""
+        rank, bucket = LIFECYCLE[stage]
+        if bucket is not None:
+            n = len(items)
+            ledger = self._ledger
+            ledger[bucket] += n
+            if rank > _ADMISSION_RANK:
+                ledger["open"] -= n
+            else:
+                if self._first_submit is None:
+                    self._first_submit = self._clock()
+                ledger["submitted"] += n
+                for item in items:
+                    self._submitted_by_kind[item.kind] += 1
+                    if item.tenant is not None:
+                        self._submitted_by_tenant[item.tenant] += 1
+        elif stage == "flushed":
+            self._flushes[meta["cause"]] += 1
+            self._batched_items += len(items)
+        if self._tracer is not None:
+            for item in items:
+                self._tracer.emit(stage, request=item.req, kind=item.kind,
+                                  key=key, batch=batch, worker=worker,
+                                  tenant=item.tenant, meta=meta)
 
     def _dispatch(self, event: FlushEvent) -> None:
         # Every exit of this method must settle or fail the items: an
@@ -674,15 +681,8 @@ class JacobiService:
         kind = event.key[0]
         items = list(event.items)
         with self._cond:
-            self._flushes[event.cause] += 1
-            self._batched_items += len(items)
-        if self._tracer is not None:
-            for item in items:
-                self._tracer.emit("flushed", request=item.req,
-                                  kind=item.kind, key=event.key,
-                                  batch=event.batch, tenant=item.tenant,
-                                  meta={"cause": event.cause,
-                                        "size": event.size})
+            self._move(items, "flushed", key=event.key, batch=event.batch,
+                       meta={"cause": event.cause, "size": event.size})
         handle: Optional[Any] = None
         try:
             payload = {
@@ -700,13 +700,8 @@ class JacobiService:
                                   meta={"segment": handle.segment_name,
                                         "bytes": handle.nbytes,
                                         "reused": handle.reused})
-            if self._tracer is not None:
-                mode = "pool" if use_pool else "inline"
-                for item in items:
-                    self._tracer.emit("dispatched", request=item.req,
-                                      kind=item.kind, batch=event.batch,
-                                      tenant=item.tenant,
-                                      meta={"mode": mode})
+            self._move(items, "dispatched", batch=event.batch,
+                       meta={"mode": "pool" if use_pool else "inline"})
             if use_pool:
                 fut = self._executor.submit(solve_batch_remote, wire)
                 # Register before wiring the callback: if the pool
@@ -781,70 +776,54 @@ class JacobiService:
             with self._cond:
                 self._solve_seconds[items[0].kind] += float(elapsed)
                 self._solved_batches[items[0].kind] += 1
-        if self._tracer is not None:
-            worker = out.get("worker")
-            worker = None if worker is None else str(worker)
-            for item in items:
-                self._tracer.emit("solved", request=item.req,
-                                  kind=item.kind, batch=batch,
-                                  worker=worker, tenant=item.tenant,
-                                  meta={"elapsed": elapsed})
-        completed = 0
-        cancelled = 0
+        worker = out.get("worker")
+        self._move(items, "solved", batch=batch,
+                   worker=None if worker is None else str(worker),
+                   meta={"elapsed": elapsed})
+        results: List[Any] = []
+        error: Optional[Exception] = None
         for k, item in enumerate(items):
-            # Build the result outside the guard: a malformed backend
+            # Build the results before resolving: a malformed backend
             # payload must fail the future loudly, never be swallowed.
             try:
-                result = TRAFFIC_CLASSES[item.kind].member(out, k)
+                results.append(TRAFFIC_CLASSES[item.kind].member(out, k))
             except Exception as exc:
-                self._fail(items[k:], exc, event)
+                error = exc
                 break
-            if self._tracer is not None:
-                self._tracer.emit("merged", request=item.req,
-                                  kind=item.kind, batch=batch,
-                                  tenant=item.tenant)
-            try:
-                item.future.set_result(result)
-                completed += 1
-                if self._tracer is not None:
-                    self._tracer.emit("resolved", request=item.req,
-                                      kind=item.kind, batch=batch,
-                                      tenant=item.tenant)
-            except InvalidStateError:
-                cancelled += 1  # caller cancelled; result discarded
-                if self._tracer is not None:
-                    self._tracer.emit("failed", request=item.req,
-                                      kind=item.kind, batch=batch,
-                                      tenant=item.tenant,
-                                      meta={"error": "cancelled"})
-        with self._cond:
-            self._completed += completed
-            self._cancelled += cancelled
-            self._inflight -= completed + cancelled
-            self._cond.notify_all()
+        merged = items[:len(results)]
+        self._move(merged, "merged", batch=batch)
+        self._resolve(merged, results, "resolved", batch)
+        if error is not None:
+            self._fail(items[len(results):], error, event)
 
     def _fail(self, items: List[_Item], exc: BaseException,
               event: Optional[FlushEvent] = None) -> None:
-        if not items:
-            return
-        batch = event.batch if event is not None else None
-        failed = 0
-        cancelled = 0
-        for item in items:
+        if items:
+            self._resolve(items, repeat(exc), "failed",
+                          event.batch if event is not None else None,
+                          meta={"error": type(exc).__name__})
+
+    def _resolve(self, items: List[_Item], values: Iterable[Any],
+                 stage: str, batch: Optional[int],
+                 meta: Optional[Dict[str, Any]] = None) -> None:
+        """Resolve each future with its value (the exception when
+        ``stage`` is ``"failed"``) outside ``_cond``, then move the
+        items in one acquisition: to ``stage``, or to ``cancelled``
+        where the caller cancelled the future first."""
+        settled: List[_Item] = []
+        cancelled: List[_Item] = []
+        for item, value in zip(items, values):
             try:
-                item.future.set_exception(exc)
-                failed += 1
+                if stage == "failed":
+                    item.future.set_exception(value)
+                else:
+                    item.future.set_result(value)
+                settled.append(item)
             except InvalidStateError:
-                cancelled += 1  # caller cancelled; error discarded
-            if self._tracer is not None:
-                self._tracer.emit("failed", request=item.req,
-                                  kind=item.kind, batch=batch,
-                                  tenant=item.tenant,
-                                  meta={"error": type(exc).__name__})
+                cancelled.append(item)
         with self._cond:
-            self._failed += failed
-            self._cancelled += cancelled
-            self._inflight -= failed + cancelled
+            self._move(settled, stage, batch=batch, meta=meta)
+            self._move(cancelled, "cancelled", batch=batch)
             self._cond.notify_all()
 
     # ------------------------------------------------------------------
@@ -858,8 +837,9 @@ class JacobiService:
     @property
     def tracer(self) -> Optional[Tracer]:
         """The service's tracer, or ``None`` when tracing is off —
-        front-end layers emit their own stages (e.g. the gateway's
-        ``"throttled"``) into the same timeline."""
+        front-end layers emit their own request-less stages (the
+        gateway's ``"throttled"`` and ``"rejected"`` refusals) into the
+        same timeline."""
         return self._tracer
 
     @property
@@ -875,7 +855,7 @@ class JacobiService:
         unbounded).  Taken under the dispatch lock; the gateway's
         priority headroom reads this without touching internals."""
         with self._cond:
-            return self._inflight, self._gate.max_queue
+            return self._ledger["open"], self._gate.max_queue
 
     def stats(self) -> ServiceStats:
         """Snapshot the service counters.
@@ -896,21 +876,19 @@ class JacobiService:
             # other.  Lock order _cond -> transport lock is safe — the
             # transport never takes the service lock.
             tstats = self._transport.stats()
+            ledger = self._ledger
             elapsed = (0.0 if self._first_submit is None
                        else self._clock() - self._first_submit)
             batches = sum(self._flushes.values())
             queued = self._batcher.pending()
             return ServiceStats(
-                submitted=self._submitted,
-                completed=self._completed,
-                failed=self._failed,
-                cancelled=self._cancelled,
+                **{name: ledger[name] for name in (
+                    "submitted", "completed", "failed", "cancelled",
+                    "rejected", "shed")},
                 queue_depth=queued,
-                inflight=self._inflight - queued,
-                rejected=self._rejected,
-                shed=self._shed,
+                inflight=ledger["open"] - queued,
                 queue_limit=self._gate.max_queue,
-                saturation=(self._inflight / self._gate.max_queue
+                saturation=(ledger["open"] / self._gate.max_queue
                             if self._gate.bounded else 0.0),
                 flushes=dict(self._flushes),
                 submitted_by_kind=dict(self._submitted_by_kind),
@@ -919,7 +897,7 @@ class JacobiService:
                                  if batches else 0.0),
                 workers=self.workers,
                 elapsed=elapsed,
-                throughput=(self._completed / elapsed
+                throughput=(ledger["completed"] / elapsed
                             if elapsed > 0 else 0.0),
                 solve_latency_by_kind={
                     kind: (self._solve_seconds[kind]
@@ -992,10 +970,10 @@ class JacobiService:
         while True:
             stranded: List[List[_Item]] = []
             with self._cond:
-                if not self._inflight:
+                if not self._ledger["open"]:
                     break
                 self._cond.wait(timeout=0.25)
-                if not self._inflight:
+                if not self._ledger["open"]:
                     break
                 if (self._executor is not None
                         and getattr(self._executor, "broken", False)):

@@ -11,13 +11,14 @@ the shared queue:
    global, per field — see :mod:`repro.service.tenancy`).
 2. **Quota** — the tenant's :class:`~repro.service.tenancy.TokenBucket`
    (rate/burst) must yield a token, else the request is *throttled*:
-   :class:`~repro.errors.QuotaExceeded` is raised, a ``"throttled"``
-   trace event is emitted with the ``tenant=`` attribute, and the
-   shared service never sees the request.
+   :class:`~repro.errors.QuotaExceeded` is raised, a request-less
+   ``"throttled"`` trace event is emitted with the ``tenant=``
+   attribute, and the shared service never sees the request.
 3. **Priority headroom** — a submission of priority weight ``w`` may
    only occupy ``max(1, floor(max_queue * w / W))`` of the service's
    admission bound: bronze floods start bouncing off
-   :class:`~repro.errors.QueueFull` while gold still has reserved
+   :class:`~repro.errors.QueueFull` (a request-less ``"rejected"``
+   event with ``reason: "priority"``) while gold still has reserved
    queue headroom.  The shared service's own
    :class:`~repro.service.admission.AdmissionGate` policies
    (reject/block/shed) then apply unchanged to whatever the gateway
@@ -29,6 +30,15 @@ deadline and the ``tenant=`` label (so service counters and every
 trace event slice per tenant), and the returned
 :class:`concurrent.futures.Future` is bridged to the caller's event
 loop with :func:`asyncio.wrap_future`.
+
+Each attempt lands in one bucket of the service's own lifecycle table
+(:data:`~repro.analysis.events.LIFECYCLE`): the per-tenant
+:class:`TenantStats` ledger uses its bucket names, a settled future
+maps to its bucket through
+:func:`~repro.analysis.events.settled_bucket`, and the request-less
+refusals above enter the buckets their stages name — so
+:func:`~repro.analysis.events.tenant_breakdown` of a trace reproduces
+each tenant's ledger.
 
 QoS only ever decides *whether* work runs, never *how*: an admitted
 matrix is batched, solved and settled exactly as a direct
@@ -48,10 +58,11 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Tuple
 
-from ..errors import QueueFull, QuotaExceeded, ShedError
+from ..analysis.events import settled_bucket
+from ..errors import QueueFull, QuotaExceeded
 from .tenancy import (
     PRIORITY_CLASSES,
     GatewayConfig,
@@ -71,16 +82,18 @@ class TenantStats:
     """One tenant's gateway-side ledger.
 
     ``submitted`` counts every :meth:`AsyncGateway.submit` attempt for
-    the tenant; each lands in exactly one outcome bucket —
+    the tenant; each lands in exactly one bucket of the lifecycle
+    table (:data:`~repro.analysis.events.LIFECYCLE`) —
     ``throttled`` (quota denied, service never saw it), ``rejected``
     (:class:`~repro.errors.QueueFull`: priority headroom or the
     service's admission policy), ``shed`` (deadline lapsed in queue),
-    ``completed``, ``failed``, ``cancelled``, or still ``pending`` —
-    so :attr:`accounted` equals ``submitted`` at every instant, the
-    same ledger identity the service's
+    ``completed``, ``failed``, ``cancelled``, or still ``pending`` (the
+    open bucket) — so :attr:`accounted` equals ``submitted`` at every
+    instant, the same ledger identity the service's
     :attr:`~repro.service.api.ServiceStats.accounted` keeps
     (``tests/test_property_tenancy.py`` pins it under arbitrary
-    interleavings).
+    interleavings).  These fields are the gateway's one declaration of
+    its bucket names.
     """
 
     submitted: int = 0
@@ -95,9 +108,11 @@ class TenantStats:
     @property
     def accounted(self) -> int:
         """Sum of every outcome bucket; always ``== submitted``."""
-        return (self.throttled + self.rejected + self.shed
-                + self.completed + self.failed + self.cancelled
-                + self.pending)
+        return sum(getattr(self, name) for name in _LEDGER[1:])
+
+
+#: The :class:`TenantStats` fields: ``submitted``, then every bucket.
+_LEDGER = tuple(f.name for f in fields(TenantStats))
 
 
 @dataclass(frozen=True)
@@ -116,13 +131,10 @@ class GatewayStats:
     @property
     def total(self) -> TenantStats:
         """All tenants' ledgers summed into one."""
-        sums = {name: 0 for name in
-                ("submitted", "throttled", "rejected", "shed",
-                 "completed", "failed", "cancelled", "pending")}
-        for stats in self.tenants.values():
-            for name in sums:
-                sums[name] += getattr(stats, name)
-        return TenantStats(**sums)
+        return TenantStats(**{
+            name: sum(getattr(stats, name)
+                      for stats in self.tenants.values())
+            for name in _LEDGER})
 
 
 class _TenantState:
@@ -132,10 +144,7 @@ class _TenantState:
 
     def __init__(self) -> None:
         self.bucket: Optional[TokenBucket] = None
-        self.counters: Dict[str, int] = {
-            name: 0 for name in
-            ("submitted", "throttled", "rejected", "shed",
-             "completed", "failed", "cancelled", "pending")}
+        self.counters: Dict[str, int] = dict.fromkeys(_LEDGER, 0)
 
 
 class AsyncGateway:
@@ -286,7 +295,7 @@ class AsyncGateway:
         ok, used, allowed = self._headroom(cfg)
         if not ok:
             self._count(tenant, rejected=1)
-            self._emit("throttled", tenant, kind,
+            self._emit("rejected", tenant, kind,
                        {"reason": "priority", "priority": cfg.priority,
                         "used": used, "allowed": allowed})
             raise QueueFull(
@@ -320,22 +329,10 @@ class AsyncGateway:
         return await asyncio.wrap_future(future)
 
     def _settled(self, tenant: str, future: Any) -> None:
-        """Classify one service future's outcome into the tenant
-        ledger (runs on whatever thread settled the future; called
-        exactly once per pending item)."""
-        if future.cancelled():
-            outcome = "cancelled"
-        else:
-            exc = future.exception()
-            if exc is None:
-                outcome = "completed"
-            elif isinstance(exc, ShedError):
-                outcome = "shed"
-            elif isinstance(exc, QueueFull):
-                outcome = "rejected"
-            else:
-                outcome = "failed"
-        self._count(tenant, pending=-1, **{outcome: 1})
+        """Move one service future from ``pending`` to the bucket its
+        outcome settles it in (runs on whatever thread settled the
+        future; called exactly once per pending item)."""
+        self._count(tenant, pending=-1, **{settled_bucket(future): 1})
 
     # ------------------------------------------------------------------
     def stats(self) -> GatewayStats:

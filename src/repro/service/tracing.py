@@ -2,9 +2,10 @@
 
 :class:`Tracer` is the service stack's single event sink.  Every
 instrumented component — the facade
-(:class:`~repro.service.api.JacobiService`), the batcher, the admission
-gate, the batch transport (segment
-``"attached"``/``"detached"`` edges, see
+(:class:`~repro.service.api.JacobiService`, whose request events are
+the moves through :data:`~repro.analysis.events.LIFECYCLE`), the
+gateway's request-less refusals, the batcher, the admission gate, the
+batch transport (segment ``"attached"``/``"detached"`` edges, see
 :data:`~repro.analysis.events.TRANSPORT_STAGES`) — holds an optional
 reference and calls
 :meth:`Tracer.emit` at each lifecycle edge; the tracer stamps a global
@@ -95,8 +96,10 @@ class Tracer:
         Parameters
         ----------
         stage:
-            The lifecycle edge or component event name (see
-            :data:`~repro.analysis.events.REQUEST_STAGES`).
+            A stage of the request lifecycle table
+            :data:`~repro.analysis.events.LIFECYCLE`, or a component
+            event name (``"flush"``, ``"overload"``, the
+            :data:`~repro.analysis.events.TRANSPORT_STAGES`).
         request:
             The request id the event belongs to, when any.
         kind:

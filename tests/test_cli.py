@@ -133,6 +133,22 @@ class TestCommands:
         assert "replayed 2 recorded runs" in out
         assert "outcome sequences match" in out
 
+    def test_load_bench_replay_fails_on_divergence(self, capsys,
+                                                   tmp_path):
+        trace = tmp_path / "trace.json"
+        assert main(["load-bench", "--scenarios", "trickle",
+                     "--items", "6", "--trace-out", str(trace)]) == 0
+        bundle = json.loads(trace.read_text())
+        events = bundle["traces"][0]["timeline"]["events"]
+        resolved = next(ev for ev in events if ev["stage"] == "resolved")
+        resolved["stage"] = "failed"  # tamper with one recorded outcome
+        trace.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert main(["load-bench", "--replay", str(trace)]) == 1
+        out = capsys.readouterr().out
+        assert "DIVERGE" in out
+        assert "1/2 outcome sequences match" in out
+
     def test_load_bench_replay_excludes_trace_out(self, capsys):
         assert main(["load-bench", "--replay", "x.json",
                      "--trace-out", "y.json"]) == 2

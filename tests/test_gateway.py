@@ -15,6 +15,9 @@ completion with ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import time
+from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,7 +28,12 @@ from testkit import (
     make_matrices as _mats,
 )
 
-from repro.analysis.events import tenant_breakdown, validate_lifecycles
+from repro.analysis.events import (
+    LIFECYCLE,
+    TERMINAL_STAGES,
+    tenant_breakdown,
+    validate_lifecycles,
+)
 from repro.errors import (
     QueueFull,
     QuotaExceeded,
@@ -392,6 +400,129 @@ class TestGatewayTracing:
             st = svc.stats()
         assert st.submitted_by_tenant == {"a": 2, "b": 1}
         assert st.accounted == st.submitted
+
+
+# ----------------------------------------------------------------------
+class _Recording:
+    """Duck-typed service proxy that keeps every future it hands out."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.futures = []
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def submit(self, A, **kwargs):
+        future = self._inner.submit(A, **kwargs)
+        self.futures.append(future)
+        return future
+
+
+def _boom(payload):
+    raise RuntimeError("solver crashed")
+
+
+def _wait_drained(svc):
+    deadline = time.monotonic() + 30.0
+    while svc.occupancy()[0]:
+        assert time.monotonic() < deadline, svc.stats()
+        time.sleep(0.001)
+
+
+#: The ledger buckets every view of one run must agree on.
+BUCKETS = ("completed", "failed", "cancelled", "rejected", "shed",
+           "throttled")
+
+
+class TestLedgerViewsAgree:
+    def test_tenant_ledger_uses_the_lifecycle_buckets(self):
+        names = {f.name for f in fields(TenantStats)}
+        table = {bucket for _, bucket in LIFECYCLE.values() if bucket}
+        assert names - {"submitted", "pending"} == table - {"open"}
+        assert set(BUCKETS) == table - {"open"}
+        assert {LIFECYCLE[s][1] for s in TERMINAL_STAGES} \
+            == table - {"open", "throttled"}
+
+    def test_stats_trace_and_tenant_ledgers_agree(self, monkeypatch):
+        """One lifecycle, three views.  A traced run behind a gateway
+        produces every outcome — solves, cancellations while queued
+        (settled at expiry), in ``_settle`` and in ``_fail``, a shed, a
+        service rejection, a quota throttle and a headroom refusal.
+        Afterwards the trace's terminal stages, mapped through
+        ``LIFECYCLE``, equal the ``ServiceStats`` buckets, and
+        ``tenant_breakdown`` equals every tenant's ``TenantStats``."""
+        import repro.service.api as api
+
+        clock = FakeClock()
+        pool = ManualExecutor(workers=0)  # batches form only on flush()
+        svc = JacobiService(d=1, max_batch=100, max_delay=60.0,
+                            max_queue=5, admission="shed", clock=clock,
+                            trace=True, executor=pool)
+        proxy = _Recording(svc)
+        gw = AsyncGateway(proxy, GatewayConfig(tenants={
+            "quota": {"rate": 0.001, "burst": 1},
+            "bronze": {"priority": "bronze"}}))
+        mats = iter(_mats(8, 12, seed=5))
+
+        async def main():
+            tasks = []
+
+            async def submit(tenant, **kwargs):
+                tasks.append(asyncio.ensure_future(
+                    gw.submit(next(mats), tenant=tenant, **kwargs)))
+                await asyncio.sleep(0)  # up to the service's future
+
+            await submit("gold")                # request 0
+            await submit("bronze")              # headroom: 1 of 1 used
+            await submit("quota")               # request 1
+            await submit("quota")               # throttled
+            await submit("gold", deadline=0.5)  # request 2: shed below
+            await submit("gold", deadline=0.5)  # request 3
+            proxy.futures[3].cancel()           # ... expires cancelled
+            await submit("gold")                # request 4
+            await submit("gold")                # request 5: queue full
+            clock.advance(1.0)
+            await submit("gold")                # request 6: sheds 2, 3
+            proxy.futures[4].cancel()           # request 4
+            svc.flush()
+            assert pool.wait_for_calls(1, 30.0)
+            pool.resolve_all()                  # _settle cancels 4
+            _wait_drained(svc)
+            monkeypatch.setattr(api, "solve_batch_remote", _boom)
+            await submit("gold")                # request 7
+            await submit("gold")                # request 8
+            proxy.futures[-1].cancel()
+            svc.flush()
+            assert pool.wait_for_calls(2, 30.0)
+            pool.resolve_all()                  # _fail cancels 8
+            await asyncio.gather(*tasks, return_exceptions=True)
+
+        run(main())
+        svc.close()
+        tl = svc.trace()
+        assert validate_lifecycles(tl) == {}
+
+        st = svc.stats()
+        ends = Counter(LIFECYCLE[ev.stage][1] for ev in tl.events
+                       if ev.request is not None
+                       and ev.stage in TERMINAL_STAGES)
+        assert ends == Counter({b: getattr(st, b) for b in BUCKETS
+                                if b != "throttled"})
+        assert (st.completed, st.failed, st.cancelled, st.rejected,
+                st.shed) == (3, 1, 3, 1, 1)
+
+        ledgers = gw.stats().tenants
+        breakdown = tenant_breakdown(tl)
+        assert set(breakdown) == set(ledgers) == {"gold", "bronze",
+                                                   "quota"}
+        for tenant, ts in ledgers.items():
+            assert ts.pending == 0 and ts.accounted == ts.submitted
+            assert {b: breakdown[tenant][b] for b in BUCKETS} \
+                == {b: getattr(ts, b) for b in BUCKETS}, tenant
+        assert ledgers["bronze"].rejected == 1
+        assert ledgers["quota"].throttled == 1
+        assert ledgers["gold"].cancelled == 3
 
 
 # ----------------------------------------------------------------------

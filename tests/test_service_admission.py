@@ -83,15 +83,18 @@ class TestAdmissionGate:
         assert gate.decide(1).action == "shed"
 
     def test_expiry_stamping(self):
+        """The service stamps ``clock() + gate.ttl(deadline)`` onto each
+        queued item: the default deadline, an override, a bad deadline
+        raising, and no expiry without a default."""
         clock = FakeClock(10.0)
         gate = AdmissionGate(max_queue=2, policy="shed",
                              default_deadline=0.5, clock=clock)
-        assert gate.expiry() == pytest.approx(10.5)  # default deadline
-        assert gate.expiry(deadline=0.1) == pytest.approx(10.1)
+        assert clock() + gate.ttl() == pytest.approx(10.5)  # default
+        assert clock() + gate.ttl(deadline=0.1) == pytest.approx(10.1)
         with pytest.raises(SimulationError, match="deadline"):
-            gate.expiry(deadline=-1.0)
+            gate.ttl(deadline=-1.0)
         no_default = AdmissionGate(clock=clock)
-        assert no_default.expiry() is None
+        assert no_default.ttl() is None
 
     def test_expiry_honours_tighter_of_default_and_override(self):
         """Regression: a per-request deadline *looser* than the gate's
@@ -101,9 +104,9 @@ class TestAdmissionGate:
         clock = FakeClock(10.0)
         gate = AdmissionGate(max_queue=2, policy="shed",
                              default_deadline=0.5, clock=clock)
-        assert gate.expiry(deadline=2.0) == pytest.approx(10.5)  # default tighter
-        assert gate.expiry(deadline=0.1) == pytest.approx(10.1)  # override tighter
-        assert gate.expiry(deadline=0.5) == pytest.approx(10.5)  # tie
+        assert clock() + gate.ttl(deadline=2.0) == pytest.approx(10.5)  # default tighter
+        assert clock() + gate.ttl(deadline=0.1) == pytest.approx(10.1)  # override tighter
+        assert clock() + gate.ttl(deadline=0.5) == pytest.approx(10.5)  # tie
 
     def test_loose_override_still_sheds_at_default_deadline(self):
         """End to end through the batcher: an item submitted with a
@@ -112,8 +115,8 @@ class TestAdmissionGate:
         gate = AdmissionGate(policy="shed", default_deadline=1.0,
                              clock=clock)
         b = MicroBatcher(max_batch=10, max_delay=60.0, clock=clock)
-        b.submit("k", "loose", expires=gate.expiry(deadline=30.0))
-        b.submit("k", "tight", expires=gate.expiry(deadline=0.25))
+        b.submit("k", "loose", expires=clock() + gate.ttl(deadline=30.0))
+        b.submit("k", "tight", expires=clock() + gate.ttl(deadline=0.25))
         clock.advance(0.5)
         assert b.pop_expired() == [("k", "tight")]
         clock.advance(1.0)  # past the 1.0s default, well before 30.0

@@ -447,7 +447,7 @@ class TestRobustness:
         items = [_Item(matrix=np.eye(8), future=Future())
                  for _ in range(2)]
         with svc._cond:
-            svc._inflight = 2
+            svc._ledger["open"] = 2
         out = {  # arrays for only one of the two items
             "eigenvalues": np.zeros((1, 8)),
             "eigenvectors": np.zeros((1, 8, 8)),

@@ -172,6 +172,18 @@ class TestRecordReplayEquivalence:
         assert [(a.kind, a.n, a.m) for a in arr2] \
             == [("eigen", 8, 8), ("svd", 12, 6)]
 
+    def test_tenant_labels_survive_replay(self):
+        """Regression: the sync replay submitted without ``tenant=``, so
+        a replayed ``tenants`` bundle lost its per-tenant slicing."""
+        arrivals = [Arrival(at=0.0, kind="eigen", n=8, m=8, tenant="a"),
+                    Arrival(at=0.0, kind="eigen", n=8, m=8, tenant="b")]
+        _, tl = replay_traced(arrivals, build_matrices(arrivals, seed=3),
+                              scenario="s", label="l", max_batch=4,
+                              max_delay=0.0, d=1)
+        assert set(tl.by_tenant()) == {"a", "b"}
+        assert [a.tenant for a in arrivals_from_timeline(tl)] \
+            == ["a", "b"]
+
     def test_replay_recorded_rejects_wrong_schema(self):
         with pytest.raises(SimulationError, match="bundle"):
             replay_recorded({"schema": "nope", "seed": 0, "traces": []})

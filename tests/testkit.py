@@ -78,7 +78,8 @@ class ManualExecutor:
     is busy with other work: queued items then wait for their size or
     deadline flush.  Use it as a context manager inside the service's
     ``with`` block — leaving it calls :meth:`release`, so a failing
-    test cannot hang ``close()`` on a held flush.
+    test cannot hang ``close()`` on a held flush.  A flush that raises
+    fails its future, as a worker pool's does.
     """
 
     uses_processes = True
@@ -101,7 +102,7 @@ class ManualExecutor:
                 self._held.append((fn, args, fut))
             self._cond.notify_all()
         if run_now:
-            fut.set_result(fn(*args))
+            _run_into(fut, fn, args)
         return fut
 
     def wait_for_calls(self, n: int, timeout: float) -> bool:
@@ -115,7 +116,7 @@ class ManualExecutor:
         with self._cond:
             held, self._held = self._held, []
         for fn, args, fut in held:
-            fut.set_result(fn(*args))
+            _run_into(fut, fn, args)
 
     def release(self) -> None:
         """Stop holding: resolve every held flush now and every later
@@ -132,6 +133,16 @@ class ManualExecutor:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.release()
+
+
+def _run_into(fut: "Future[Any]", fn: Any, args: Any) -> None:
+    """Settle ``fut`` with ``fn(*args)``, or with the error it raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        fut.set_exception(exc)
+    else:
+        fut.set_result(result)
 
 
 class HangingExecutor:
